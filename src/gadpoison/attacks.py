@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gradients, oddball
-from .errors import DegenerateFit, NodeVanished, ZeroBaseline
-from .graph import EdgeFlip, FlipAction, Graph, apply_flips, derive_rng
+from .errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
+from .graph import EdgeFlip, FlipAction, Graph, derive_rng
 
 DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -82,6 +82,28 @@ class PerturbationPlan:
             "notes": self.notes,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "PerturbationPlan":
+        """Inverse of ``to_dict``. Only ``schema_version``, ``targets`` and
+        ``flips_by_budget`` are required; absent traces default to empty."""
+        if data.get("schema_version") != 1:
+            raise ValueError(f"unsupported plan schema_version {data.get('schema_version')!r}")
+        flips_by_budget = {
+            int(b): [EdgeFlip(f["i"], f["j"], FlipAction(f["action"])) for f in flips]
+            for b, flips in data["flips_by_budget"].items()
+        }
+        return cls(
+            attack=data.get("attack", ""),
+            budget_max=data.get("budget_max", max(flips_by_budget, default=0)),
+            targets=tuple(data["targets"]),
+            flips_by_budget=flips_by_budget,
+            score_trace=list(data.get("score_trace", [])),
+            surrogate_trace=list(data.get("surrogate_trace", [])),
+            tau_trace=list(data.get("tau_trace", [])),
+            failed_budgets={int(b): r for b, r in data.get("failed_budgets", {}).items()},
+            notes=list(data.get("notes", [])),
+        )
+
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
@@ -116,9 +138,8 @@ def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
                    notes: list[str] | None = None) -> PerturbationPlan:
     """Evaluate true scores, surrogates and tau_as for every budget."""
     targets = list(config.targets)
-    clean_report = oddball.score_graph(graph)
     clean_feats = oddball.ego_features(graph)
-    s0 = clean_report.target_sum(targets)
+    s0 = oddball.anomaly_scores(clean_feats, oddball.fit_ols(clean_feats)).target_sum(targets)
     surr0 = oddball.surrogate_objective(clean_feats, targets)
     B = config.budget_max
     score_trace = [s0] + [math.nan] * B
@@ -127,15 +148,15 @@ def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
     failed = dict(failed or {})
     flips_by_budget = dict(flips_by_budget)
     for b, flips in sorted(flips_by_budget.items()):
-        poisoned = apply_flips(graph, flips)
-        isolated = [t for t in targets if poisoned.degree(t) == 0]
+        feats = oddball.ego_features(graph, flips)
+        isolated = [t for t in targets if feats.N[t] == 0]
         if isolated:
             failed[b] = f"plan isolates target nodes {isolated}; budget rejected"
             del flips_by_budget[b]
             continue
-        report = oddball.score_graph(poisoned)
+        report = oddball.anomaly_scores(feats, oddball.fit_ols(feats))
         score_trace[b] = report.target_sum(targets)
-        surr_trace[b] = oddball.surrogate_objective(oddball.ego_features(poisoned), targets)
+        surr_trace[b] = oddball.surrogate_objective(feats, targets)
         tau_trace[b] = (s0 - score_trace[b]) / s0 if s0 != 0 else math.nan
     return PerturbationPlan(
         attack=attack, budget_max=B, targets=tuple(targets),
@@ -228,7 +249,7 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     for step in range(config.iters):
         try:
             G, val = gradients.surrogate_gradient(A, targets, return_value=True)
-        except (ValueError, NodeVanished, DegenerateFit) as exc:
+        except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
             # last valid point rather than silently repairing the descent
             A = prev
@@ -325,7 +346,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             A = np.where(flip_mask, 1.0 - A0, A0)
             try:
                 G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
-            except (DegenerateFit, ValueError):
+            except (IsolatedTarget, DegenerateFit, NodeVanished):
                 # flip pattern isolated a target; mark the snapshot unusable
                 # and let the penalty pull the soft variables back down
                 G, surr = np.zeros((n, n)), math.inf

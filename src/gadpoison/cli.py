@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attacks, defense, oddball, stats, transfer
-from .graph import Graph, apply_flips, derive_rng, generate, load_edge_list, save_edge_list
+from .graph import Graph, derive_rng, generate, load_edge_list, save_edge_list
 
 SCHEMA_VERSION = 1
 
@@ -108,27 +108,17 @@ def cmd_attack(args) -> int:
 def cmd_defend(args) -> int:
     graph = _load_graph(args)
     with open(args.plan) as fh:
-        plan = json.load(fh)
-    clean_reports = {
-        "ols": oddball.score_graph(graph),
-        "huber": defense.robust_rescore(graph, "huber"),
-        "ransac": defense.robust_rescore(graph, "ransac", defense.RobustConfig(seed=args.seed)),
-    }
-    targets = plan["targets"]
+        plan = attacks.PerturbationPlan.from_dict(json.load(fh))
+    fitters = ("ols", "huber", "ransac")
+    config = defense.RobustConfig(seed=args.seed)
+    clean_feats = oddball.ego_features(graph)
+    clean_reports = [defense.rescore_features(clean_feats, name, config) for name in fitters]
     rows = [(0, 0.0, 0.0, 0.0)]
-    for b_str, flips in sorted(plan["flips_by_budget"].items(), key=lambda kv: int(kv[0])):
-        flip_objs = [
-            attacks.EdgeFlip(f["i"], f["j"], attacks.FlipAction(f["action"])) for f in flips
-        ]
-        poisoned = apply_flips(graph, flip_objs)
-        taus = []
-        for name in ("ols", "huber", "ransac"):
-            if name == "ols":
-                rep = oddball.score_graph(poisoned)
-            else:
-                rep = defense.robust_rescore(poisoned, name, defense.RobustConfig(seed=args.seed))
-            taus.append(attacks.tau_as(clean_reports[name], rep, targets))
-        rows.append((int(b_str), *taus))
+    for b, flips in sorted(plan.flips_by_budget.items()):
+        feats = oddball.ego_features(graph, flips)
+        taus = [attacks.tau_as(clean, defense.rescore_features(feats, name, config), plan.targets)
+                for clean, name in zip(clean_reports, fitters)]
+        rows.append((b, *taus))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["budget", "tau_ols", "tau_huber", "tau_ransac"])

@@ -104,19 +104,29 @@ def fit_ransac(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> 
     return RegressionFit(beta0, beta1, "ransac", mask[inliers])
 
 
-def robust_rescore(graph: Graph, fitter: str, config: RobustConfig = RobustConfig()) -> AnomalyReport:
-    """Egonet features -> robust fit -> deviation scores for all nodes."""
-    feats = ego_features(graph)
+def rescore_features(features: EgoFeatures, fitter: str,
+                     config: RobustConfig = RobustConfig()) -> AnomalyReport:
+    """Fit the power law on given features with "ols", "huber" or "ransac",
+    then score every node against that line."""
     if fitter == "huber":
-        fit = fit_huber(feats, config)
+        fit = fit_huber(features, config)
     elif fitter == "ransac":
-        fit = fit_ransac(feats, config)
+        fit = fit_ransac(features, config)
     elif fitter == "ols":
-        fit = fit_ols(feats)
+        fit = fit_ols(features)
     else:
         raise ValueError(f"unknown fitter {fitter!r}")
     if fitter == "ransac":
         # score every non-isolated node against the consensus line
-        full_fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(feats)[0])
-        return anomaly_scores(feats, full_fit)
-    return anomaly_scores(feats, fit)
+        full_fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(features)[0])
+        return anomaly_scores(features, full_fit)
+    return anomaly_scores(features, fit)
+
+
+def robust_rescore(graph: Graph, fitter: str, config: RobustConfig = RobustConfig()) -> AnomalyReport:
+    """Egonet features of ``graph`` -> robust fit -> deviation scores for all nodes.
+
+    A wrapper over ``rescore_features``; to score several fitters or flip
+    plans on one graph, compute ``ego_features`` once and call that.
+    """
+    return rescore_features(ego_features(graph), fitter, config)

@@ -34,6 +34,10 @@ class NodeVanished(GadPoisonError):
     """A relaxed adjacency drove some node's degree below the log-safety floor."""
 
 
+class IsolatedTarget(GadPoisonError, ValueError):
+    """A target node has degree zero, so it lies outside the power-law fit."""
+
+
 class NoValidMove(GadPoisonError):
     """Greedy search filtered out every candidate pair."""
 

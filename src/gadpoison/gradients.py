@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFit, NodeVanished
+from .errors import DegenerateFit, IsolatedTarget, NodeVanished
 from .oddball import EgoFeatures
 
 # degree floor before taking ln; below it an attack is isolating a node
@@ -68,7 +68,7 @@ def _fit_arrays(A: np.ndarray, targets):
     targets = np.asarray(sorted(targets), dtype=int)
     in_mask = np.isin(targets, mask)
     if not in_mask.all():
-        raise ValueError(f"targets {targets[~in_mask].tolist()} are isolated")
+        raise IsolatedTarget(f"targets {targets[~in_mask].tolist()} are isolated")
     Ehat_t = np.exp(beta0 + beta1 * np.log(N[targets])) if len(targets) else np.zeros(0)
     resid_t = E[targets] - Ehat_t
     value = float(resid_t @ resid_t)

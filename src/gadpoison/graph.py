@@ -50,9 +50,11 @@ class Graph:
 
     Stores a dense symmetric 0/1 adjacency matrix for O(1) pair queries
     plus per-node sorted neighbor arrays for fast set intersection.
+    Degrees are counted on construction and diag(A^3) on first use; both
+    are kept, since the graph never changes.
     """
 
-    __slots__ = ("n", "_adj", "_neighbors")
+    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_diag3")
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency)
@@ -62,12 +64,14 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(adj) != 0):
             raise ValueError("self-loops are not allowed")
-        if not np.isin(adj, (0, 1)).all():
+        if not ((adj == 0) | (adj == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         self.n = adj.shape[0]
         self._adj = adj.astype(np.uint8)
         self._adj.setflags(write=False)
         self._neighbors = [np.flatnonzero(self._adj[i]) for i in range(self.n)]
+        self._degrees = np.array([len(nbrs) for nbrs in self._neighbors], dtype=np.int64)
+        self._diag3 = None
 
     # -- basic queries -------------------------------------------------
 
@@ -83,7 +87,8 @@ class Graph:
         return len(self._neighbors[i])
 
     def degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1).astype(np.int64)
+        """Per-node degree as a fresh int64 array."""
+        return self._degrees.copy()
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._adj[i, j])
@@ -111,36 +116,85 @@ class Graph:
         """Per-node count of closed length-3 walks, i.e. diag(A^3).
 
         Equals twice the number of triangles through each node. Computed
-        by neighbor-set intersection, O(sum_i d_i * d_max).
+        by neighbor-set intersection, O(sum_i d_i * d_max), on the first
+        call; later calls return the same read-only int64 array.
         """
-        out = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n):
-            nbrs = self._neighbors[i]
-            if len(nbrs) < 2:
-                continue
-            # paths i -> j -> k -> i: for each neighbor j, count common neighbors
-            out[i] = int(self._adj[np.ix_(nbrs, nbrs)].sum())
-        return out
+        if self._diag3 is None:
+            out = np.zeros(self.n, dtype=np.int64)
+            for i in range(self.n):
+                nbrs = self._neighbors[i]
+                if len(nbrs) < 2:
+                    continue
+                # paths i -> j -> k -> i: for each neighbor j, count common neighbors
+                out[i] = int(self._adj[np.ix_(nbrs, nbrs)].sum())
+            out.setflags(write=False)
+            self._diag3 = out
+        return self._diag3
+
+
+def _check_flip(idx: int, flip: EdgeFlip, n: int, is_edge) -> None:
+    """Raise InvalidFlip unless flip #idx fits an n-node state whose edges
+    ``is_edge(i, j)`` reports."""
+    if flip.j >= n:
+        raise InvalidFlip(idx, f"pair ({flip.i},{flip.j}) outside a {n}-node graph")
+    present = is_edge(flip.i, flip.j)
+    if flip.action is FlipAction.ADD and present:
+        raise InvalidFlip(idx, f"edge ({flip.i},{flip.j}) already present")
+    if flip.action is FlipAction.DELETE and not present:
+        raise InvalidFlip(idx, f"edge ({flip.i},{flip.j}) not present")
 
 
 def apply_flips(graph: Graph, flips: list[EdgeFlip]) -> Graph:
     """Return a new graph with the flips applied in order.
 
     Each flip must be valid against the state produced by the preceding
-    flips; raises InvalidFlip with the offending index otherwise.
+    flips; raises InvalidFlip with the offending index otherwise. This
+    copies and revalidates the whole n x n adjacency; when only degrees
+    and diag(A^3) of the result are needed, ``flip_counts`` (and so
+    ``oddball.ego_features(graph, flips)``) gets them without that.
     """
     adj = graph.adjacency.copy()
     for idx, flip in enumerate(flips):
-        present = bool(adj[flip.i, flip.j])
-        if flip.action is FlipAction.ADD:
-            if present:
-                raise InvalidFlip(idx, f"edge ({flip.i},{flip.j}) already present")
-            adj[flip.i, flip.j] = adj[flip.j, flip.i] = 1
-        else:
-            if not present:
-                raise InvalidFlip(idx, f"edge ({flip.i},{flip.j}) not present")
-            adj[flip.i, flip.j] = adj[flip.j, flip.i] = 0
+        _check_flip(idx, flip, graph.n, lambda i, j: bool(adj[i, j]))
+        adj[flip.i, flip.j] = adj[flip.j, flip.i] = flip.action is FlipAction.ADD
     return Graph(adj)
+
+
+def flip_counts(graph: Graph, flips: list[EdgeFlip]) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and diag(A^3) of ``apply_flips(graph, flips)``, without building it.
+
+    Starts from the graph's own counts and applies the flips in order,
+    each against the state the preceding ones left (as in Nettack's
+    incremental updates). Flipping {p, q} moves the degrees of p and q by
+    1; with C the current common neighbors of p and q, it moves diag(A^3)
+    by 2|C| at p and q and by 2 at each node of C. Only the neighbor sets
+    of flipped endpoints are copied. Raises InvalidFlip exactly as
+    apply_flips does.
+    """
+    degrees = graph.degrees()
+    diag3 = graph.triangle_diagonal().copy()
+    current: dict[int, set[int]] = {}  # neighbor sets of touched nodes, as flipped so far
+
+    def nbrs(v: int) -> set[int]:
+        if v not in current:
+            current[v] = set(graph.neighbors(v).tolist())
+        return current[v]
+
+    for idx, flip in enumerate(flips):
+        p, q = flip.i, flip.j
+        _check_flip(idx, flip, graph.n, lambda i, j: j in nbrs(i))
+        sign = 1 if flip.action is FlipAction.ADD else -1
+        common = list(nbrs(p) & nbrs(q))
+        degrees[[p, q]] += sign
+        diag3[[p, q]] += 2 * sign * len(common)
+        diag3[common] += 2 * sign
+        if sign > 0:
+            nbrs(p).add(q)
+            nbrs(q).add(p)
+        else:
+            nbrs(p).discard(q)
+            nbrs(q).discard(p)
+    return degrees, diag3
 
 
 # -- edge-list I/O -----------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFit
-from .graph import Graph
+from .errors import DegenerateFit, IsolatedTarget
+from .graph import EdgeFlip, Graph, flip_counts
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,17 @@ class AnomalyReport:
         return float(self.scores[np.asarray(sorted(targets))].sum())
 
 
-def ego_features(graph: Graph) -> EgoFeatures:
-    """Egonet features: N_i = degree(i), E_i = N_i + (1/2) diag(A^3)_i."""
-    N = graph.degrees().astype(float)
-    E = N + 0.5 * graph.triangle_diagonal()
+def ego_features(graph: Graph, flips: list[EdgeFlip] = ()) -> EgoFeatures:
+    """Egonet features: N_i = degree(i), E_i = N_i + (1/2) diag(A^3)_i.
+
+    Without flips these are the graph's own features. With flips they
+    are the features of ``apply_flips(graph, flips)``, bit for bit, but
+    updated from the graph's cached counts instead of rebuilding it (see
+    ``flip_counts``); an invalid flip raises InvalidFlip.
+    """
+    degrees, diag3 = flip_counts(graph, flips)
+    N = degrees.astype(float)
+    E = N + 0.5 * diag3
     return EgoFeatures(N=N, E=E)
 
 
@@ -121,7 +128,7 @@ def surrogate_objective(features: EgoFeatures, targets) -> float:
     mask_set = set(fit.fit_mask.tolist())
     missing = [t for t in targets if t not in mask_set]
     if missing:
-        raise ValueError(f"targets outside fit mask (isolated nodes): {missing}")
+        raise IsolatedTarget(f"targets outside fit mask (isolated nodes): {missing}")
     idx = np.asarray(targets)
     resid = features.E[idx] - fit.predict_E(features.N[idx])
     return float(np.sum(resid**2))

@@ -8,6 +8,10 @@ import numpy as np
 
 from .graph import derive_rng
 
+# resampled values held at once: each costs 24 bytes across the random
+# keys, their argsort and the gathered values
+CHUNK_ELEMENTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PermTestResult:
@@ -34,8 +38,9 @@ def permutation_test(x, y, m: int = 100_000, seed: int = 0) -> PermTestResult:
     rng = derive_rng(seed, "permutation_test", len(x), len(y), m)
     nx = len(x)
     hits = 0
-    # chunked to bound memory at large m
-    chunk = max(1, min(m, 10_000_000 // max(len(pooled), 1)))
+    # chunked to bound memory at large m; rows are drawn in order, so the
+    # chunk size does not change the random stream
+    chunk = max(1, min(m, CHUNK_ELEMENTS // len(pooled)))
     done = 0
     while done < m:
         k = min(chunk, m - done)

@@ -7,6 +7,7 @@ import pytest
 
 from gadpoison.attacks import (
     AttackConfig,
+    PerturbationPlan,
     binarized_attack,
     continuous_a,
     grad_max_search,
@@ -213,6 +214,37 @@ class TestPlanSerialization:
         assert loaded["schema_version"] == 1
         assert loaded["attack"] == "gradmax"
         assert loaded["tau_trace"] == plan.tau_trace
+
+    def test_dict_round_trip(self, tmp_path):
+        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
+        # delete-only runs out of moves after one flip: budgets 2, 3 fail with NaN traces
+        plan = grad_max_search(g, AttackConfig(budget_max=3, targets=(0,), allow_add=False))
+        assert plan.flips_by_budget and plan.failed_budgets and plan.notes
+        path = tmp_path / "plan.json"
+        plan.save_json(path)
+        loaded = json.loads(path.read_text())
+        restored = PerturbationPlan.from_dict(loaded)
+        assert restored.flips_by_budget == plan.flips_by_budget
+        assert restored.failed_budgets == plan.failed_budgets
+        assert restored.to_dict() == loaded
+
+    def test_from_minimal_dict(self):
+        plan = PerturbationPlan.from_dict({
+            "schema_version": 1, "targets": [3, 1],
+            "flips_by_budget": {"2": [{"i": 0, "j": 1, "action": "add"},
+                                      {"i": 1, "j": 3, "action": "delete"}],
+                                "1": [{"i": 0, "j": 1, "action": "add"}]},
+        })
+        assert plan.targets == (3, 1)
+        assert plan.budget_max == 2
+        assert plan.flips_by_budget[2] == [EdgeFlip(0, 1, FlipAction.ADD),
+                                           EdgeFlip(1, 3, FlipAction.DELETE)]
+        assert plan.score_trace == plan.tau_trace == plan.notes == []
+        assert plan.failed_budgets == {}
+
+    def test_from_dict_rejects_unknown_schema(self):
+        with pytest.raises(ValueError, match="schema_version"):
+            PerturbationPlan.from_dict({"targets": [0], "flips_by_budget": {}})
 
     def test_csv_schema(self, tmp_path):
         g = generate_er(10, 0.3, 2)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line runner."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -122,6 +123,44 @@ class TestDefend:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert all(float(v) == 0.0 for v in first[1:])
+
+
+    def test_invalid_plan_reports_flip(self, tmp_path, capsys):
+        graph_file = write_star(tmp_path / "star.txt")
+        plan = {"schema_version": 1, "targets": [0],
+                "flips_by_budget": {"1": [{"i": 1, "j": 2, "action": "add"},
+                                          {"i": 1, "j": 2, "action": "add"}]}}
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        rc = main(["defend", "--input", str(graph_file), "--plan", str(plan_file),
+                   "--out", str(tmp_path / "defense.csv")])
+        assert rc == 1
+        assert "flip #1: edge (1,2) already present" in capsys.readouterr().err
+
+
+class TestGolden:
+    """Fixed-seed outputs must stay byte-identical across refactors."""
+
+    DIGESTS = {
+        "atk/plan_rep0.json": "b367697197b2181a8da16a44b2c79535350f8fcca64bab5ca2686c0b356b18d8",
+        "atk/trace_rep0.csv": "fb88877b7aa4213ce23f4e17d24d904aca4852d3f78749431fce8e75c5d8ad19",
+        "atk/summary.csv": "87591024433a49e17869d09a72275e7bae17f7516935802f56395082bb6ba4eb",
+        "defense.csv": "79fd5542f510faee65e3dc8c245ca1b5210f5de9a2f0ec74fcbb18ed51d7a22d",
+    }
+
+    def test_gradmax_and_defend_digests(self, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        assert main(["generate", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "3",
+                     "--out", str(graph_file)]) == 0
+        assert main(["attack", "--input", str(graph_file), "--seed", "3", "--attack", "gradmax",
+                     "--budget", "4", "--targets-count", "3", "--top-k", "10",
+                     "--out", str(tmp_path / "atk")]) == 0
+        assert main(["defend", "--input", str(graph_file), "--seed", "3",
+                     "--plan", str(tmp_path / "atk" / "plan_rep0.json"),
+                     "--out", str(tmp_path / "defense.csv")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS
 
 
 class TestTransfer:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gadpoison import gradients
-from gadpoison.errors import NodeVanished
+from gadpoison.errors import IsolatedTarget, NodeVanished
 from gadpoison.graph import Graph, generate_er
 from gadpoison.oddball import ego_features, surrogate_objective
 
@@ -90,6 +90,14 @@ class TestSurrogateValue:
         A[2, 3] = A[3, 2] = 1e-9
         with pytest.raises(NodeVanished):
             gradients.surrogate_value(A, [0])
+
+    def test_isolated_target(self):
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
+        with pytest.raises(IsolatedTarget, match=r"targets \[3\] are isolated"):
+            gradients.surrogate_value(A, [0, 3])
+        with pytest.raises(IsolatedTarget, match=r"isolated nodes\): \[3\]"):
+            surrogate_objective(ego_features(Graph(A.astype(np.uint8))), [0, 3])
 
 
 class TestSurrogateGradient:

@@ -212,3 +212,39 @@ class TestTriangleDiagonal:
     def test_always_even(self, seed):
         g = generate_er(15, 0.4, seed)
         assert np.all(g.triangle_diagonal() % 2 == 0)
+
+
+class TestGraphValidation:
+    @pytest.mark.parametrize("adj, message", [
+        (np.zeros((2, 3)), "square"),
+        (np.array([[0, 1], [0, 0]]), "symmetric"),
+        (np.array([[1, 0], [0, 0]]), "self-loops"),
+        (np.array([[0, 2], [2, 0]]), "0 or 1"),
+        (np.array([[0, -1], [-1, 0]]), "0 or 1"),
+        (np.array([[0.0, 0.5], [0.5, 0.0]]), "0 or 1"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "symmetric"),
+    ])
+    def test_rejects(self, adj, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(adj)
+
+    def test_accepts_bool_and_float_01(self):
+        adj = np.array([[0, 1], [1, 0]])
+        for dtype in (bool, float, np.uint8):
+            assert Graph(adj.astype(dtype)).num_edges() == 1
+
+
+class TestCachedCounts:
+    def test_diagonal_cached_read_only(self):
+        g = generate_er(20, 0.3, 4)
+        diag = g.triangle_diagonal()
+        assert g.triangle_diagonal() is diag
+        assert not diag.flags.writeable
+        with pytest.raises(ValueError):
+            diag[0] = 1
+
+    def test_degrees_fresh_copy(self):
+        g = generate_er(20, 0.3, 4)
+        d = g.degrees()
+        d[0] += 5
+        assert np.array_equal(g.degrees(), g.adjacency.sum(axis=1))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gadpoison.errors import DegenerateFit
-from gadpoison.graph import Graph, generate_er
+from gadpoison.errors import DegenerateFit, InvalidFlip
+from gadpoison.graph import EdgeFlip, FlipAction, Graph, apply_flips, generate_er
 from gadpoison.oddball import (
     AnomalyReport,
     EgoFeatures,
@@ -195,3 +197,59 @@ class TestRankTopK:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             rank_top_k(AnomalyReport(scores=np.zeros(3), fit=None), 4)
+
+
+def random_flips(graph, rng, count, invalid_at=None):
+    """``count`` flips on random pairs, each valid against the state the
+    earlier ones leave, except flip #invalid_at, which is made invalid."""
+    adj = graph.adjacency.copy()
+    flips = []
+    for k in range(count):
+        i, j = sorted(rng.choice(graph.n, size=2, replace=False).tolist())
+        present = bool(adj[i, j])
+        if k == invalid_at:
+            present = not present
+        action = FlipAction.DELETE if present else FlipAction.ADD
+        flips.append(EdgeFlip(i, j, action))
+        adj[i, j] = adj[j, i] = 1 - adj[i, j]
+    return flips
+
+
+class TestEgoFeaturesWithFlips:
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 14), p=st.floats(0.0, 1.0),
+           count=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rebuilt_graph(self, seed, n, p, count):
+        g = generate_er(n, p, seed)
+        flips = random_flips(g, np.random.default_rng(seed), count)
+        counted = ego_features(g, flips)
+        rebuilt = ego_features(apply_flips(g, flips))
+        assert np.array_equal(counted.N, rebuilt.N)
+        assert np.array_equal(counted.E, rebuilt.E)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 10), count=st.integers(1, 8),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_flip_same_index(self, seed, n, count, data):
+        g = generate_er(n, 0.4, seed)
+        bad = data.draw(st.integers(0, count - 1))
+        flips = random_flips(g, np.random.default_rng(seed), count, invalid_at=bad)
+        with pytest.raises(InvalidFlip) as rebuilt:
+            apply_flips(g, flips)
+        with pytest.raises(InvalidFlip) as counted:
+            ego_features(g, flips)
+        assert rebuilt.value.index == counted.value.index == bad
+        assert str(rebuilt.value) == str(counted.value)
+
+    def test_pair_outside_graph(self):
+        g = graph_from_edges(3, [(0, 1)])
+        flips = [EdgeFlip(1, 2, FlipAction.ADD), EdgeFlip(0, 3, FlipAction.ADD)]
+        for fn in (apply_flips, ego_features):
+            with pytest.raises(InvalidFlip, match="#1"):
+                fn(g, flips)
+
+    def test_closing_triangle_leaves_graph_unchanged(self):
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        closed = ego_features(g, [EdgeFlip(0, 2, FlipAction.ADD)])
+        assert closed.E.tolist() == [3.0, 3.0, 3.0]  # N = 2, diag(A^3) = 2 per node
+        assert ego_features(g).E.tolist() == [1.0, 2.0, 1.0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gadpoison import stats
 from gadpoison.stats import permutation_test
 
 
@@ -51,6 +52,14 @@ class TestPermutationTest:
         x = np.arange(10.0)
         y = np.arange(5.0) + 2
         assert permutation_test(x, y, m=1000, seed=4) == permutation_test(x, y, m=1000, seed=4)
+
+    @pytest.mark.parametrize("elements", [7, 1000])
+    def test_chunk_size_keeps_result(self, monkeypatch, elements):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(0, 1, 30), rng.normal(0.4, 1, 20)
+        whole = permutation_test(x, y, m=2000, seed=8)
+        monkeypatch.setattr(stats, "CHUNK_ELEMENTS", elements)
+        assert permutation_test(x, y, m=2000, seed=8) == whole
 
     def test_converges_to_exact_enumeration(self):
         x = np.array([0.1, 1.3, 2.9])
