@@ -5,8 +5,9 @@ budget b = 1..B plus true-score / surrogate / decreasing-percentage
 traces. GradMaxSearch flips greedily by largest feasible gradient;
 ContinuousA relaxes the adjacency, runs projected gradient descent and
 rounds the largest deviations; BinarizedAttack optimizes a soft decision
-matrix with straight-through gradients through a hard binarization,
-evaluating the objective on the discrete graph every iteration.
+vector over node pairs with straight-through gradients through a hard
+binarization, evaluating the objective on the discrete graph every
+iteration.
 """
 
 from __future__ import annotations
@@ -126,12 +127,6 @@ def tau_as(clean: oddball.AnomalyReport, poisoned: oddball.AnomalyReport, target
     return (s0 - poisoned.target_sum(targets)) / s0
 
 
-def _pair_lex_order(n: int):
-    """Flattened-index helpers for deterministic lexicographic tie-breaks."""
-    iu, ju = np.triu_indices(n, k=1)
-    return iu, ju
-
-
 def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
                    flips_by_budget: dict[int, list[EdgeFlip]],
                    failed: dict[int, str] | None = None,
@@ -184,7 +179,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     modified = np.zeros((n, n), dtype=bool)
     flips: list[EdgeFlip] = []
     notes: list[str] = []
-    iu, ju = _pair_lex_order(n)
+    iu, ju = np.triu_indices(n, k=1)
 
     for _ in range(config.budget_max):
         G = gradients.surrogate_gradient(adj, targets)
@@ -269,7 +264,7 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             warnings.warn(msg)
             notes.append(msg)
 
-    iu, ju = _pair_lex_order(n)
+    iu, ju = np.triu_indices(n, k=1)
     diff = np.abs(A - A0)[iu, ju]
     diff[frozen[iu, ju]] = -1.0
     order = np.lexsort((ju, iu, -diff))  # descending diff, ties lexicographic
@@ -293,70 +288,74 @@ class _Snapshot:
     step: int
     surrogate: float
     flip_count: int
-    top_flips: list[tuple[float, int, int]]  # (soft value, i, j), descending
+    top: np.ndarray  # pair indices of the top-B flipped entries, soft value descending
 
 
 def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     """Straight-through optimization of paired soft/discrete flip variables.
 
-    For each penalty weight lambda, a soft matrix Zdot in [0,1] is run
-    through projected gradient descent; every forward pass binarizes
-    Zdot into the discrete flip pattern, rebuilds the 0/1 adjacency and
-    evaluates surrogate + lambda * ||Zdot||_1 on it. Extraction scans all
-    snapshots across all lambdas: for budget b, the snapshot of minimum
-    surrogate among those with exactly b flipped entries supplies the
-    flips; if no snapshot hit b exactly, the best one with more than b
-    flipped entries is truncated to its top-b soft values.
+    For each penalty weight lambda, a soft vector z in [0,1] with one entry
+    per unordered pair (lexicographic ``np.triu_indices`` order) is run
+    through projected gradient descent; every forward pass binarizes z
+    into the discrete flip pattern and evaluates surrogate + lambda *
+    ||z||_1 on the flipped 0/1 adjacency. That adjacency is kept across
+    steps and only the pairs that entered or left the pattern are toggled.
+    While the pattern holds, the adjacency is the same, so the surrogate
+    gradient (or the failure it raised) is reused instead of recomputed.
+    Extraction scans all snapshots across all lambdas: for budget b, the
+    snapshot of minimum surrogate among those with exactly b flipped
+    entries supplies the flips; if no snapshot hit b exactly, the best one
+    with more than b flipped entries is truncated to its top-b soft values.
     """
     if not config.lambdas:
         raise ValueError("BinarizedAttack requires a nonempty lambda set")
     n = graph.n
     targets = list(config.targets)
     A0 = graph.adjacency.astype(float)
-    sign_flip = 1.0 - 2.0 * A0  # dA/dZdot through the straight-through estimator
-    iu, ju = _pair_lex_order(n)
-    frozen = np.zeros((n, n), dtype=bool)
+    iu, ju = np.triu_indices(n, k=1)
+    a0 = A0[iu, ju]
+    sign_p = 1.0 - 2.0 * a0  # dA/dz through the straight-through estimator
+    frozen_p = np.zeros(len(a0), dtype=bool)
     if not config.allow_add:
-        frozen |= A0 < 0.5
+        frozen_p |= a0 < 0.5
     if not config.allow_delete:
-        frozen |= A0 > 0.5
+        frozen_p |= a0 > 0.5
 
     B = config.budget_max
     snapshots: list[_Snapshot] = []
 
-    def record(lam: float, step: int, zdot: np.ndarray, surrogate: float) -> None:
-        soft = zdot[iu, ju]
-        flipped = np.flatnonzero(soft >= 0.5)
-        if len(flipped):
-            sub = flipped[np.lexsort((ju[flipped], iu[flipped], -soft[flipped]))][:B]
-            top = [(float(soft[k]), int(iu[k]), int(ju[k])) for k in sub]
-        else:
-            top = []
-        snapshots.append(_Snapshot(lam, step, surrogate, len(flipped), top))
+    def pair_gradient(A: np.ndarray) -> tuple[np.ndarray | None, float]:
+        # the n x n field is dropped on return, so at most one is alive
+        try:
+            G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
+        except (IsolatedTarget, DegenerateFit, NodeVanished):
+            # flip pattern isolated a target; mark the snapshot unusable
+            # and let the penalty pull the soft variables back down
+            return None, math.inf
+        return G[iu, ju] * sign_p, surr
 
     for lam in config.lambdas:
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
-        init = 0.25 + rng.uniform(0.0, 0.05, size=(n, n))
-        zdot = np.triu(init, k=1)
-        zdot = zdot + zdot.T
-        zdot[frozen] = 0.0
-        np.fill_diagonal(zdot, 0.0)
+        z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
+        z[frozen_p] = 0.0
+        A = A0.copy()
+        pattern = np.zeros(0, dtype=np.intp)
+        gsp, surr = pair_gradient(A)
         for step in range(config.iters + 1):
-            flip_mask = zdot >= 0.5
-            A = np.where(flip_mask, 1.0 - A0, A0)
-            try:
-                G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
-            except (IsolatedTarget, DegenerateFit, NodeVanished):
-                # flip pattern isolated a target; mark the snapshot unusable
-                # and let the penalty pull the soft variables back down
-                G, surr = np.zeros((n, n)), math.inf
-            record(lam, step, zdot, surr)
+            flipped = np.flatnonzero(z >= 0.5)
+            if not np.array_equal(flipped, pattern):
+                changed = np.setxor1d(pattern, flipped, assume_unique=True)
+                p, q = iu[changed], ju[changed]
+                A[p, q] = A[q, p] = 1.0 - A[p, q]
+                pattern = flipped
+                gsp, surr = pair_gradient(A)
+            top = flipped[np.argsort(-z[flipped], kind="stable")[:B]]
+            snapshots.append(_Snapshot(lam, step, surr, len(flipped), top))
             if step == config.iters:
                 break
-            grad = G * sign_flip + lam * np.sign(zdot)
-            grad[frozen] = 0.0
-            zdot = np.clip(zdot - config.lr * grad, 0.0, 1.0)
-            np.fill_diagonal(zdot, 0.0)
+            grad = lam * np.sign(z) if gsp is None else gsp + lam * np.sign(z)
+            grad[frozen_p] = 0.0
+            z = np.clip(z - config.lr * grad, 0.0, 1.0)
 
     flips_by_budget: dict[int, list[EdgeFlip]] = {}
     failed: dict[int, str] = {}
@@ -378,7 +377,8 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             failed[b] = f"no snapshot reached {b} flipped entries"
             continue
         flips = []
-        for _, p, q in best.top_flips[:b]:
+        for k in best.top[:b]:
+            p, q = int(iu[k]), int(ju[k])
             action = FlipAction.DELETE if A0[p, q] > 0.5 else FlipAction.ADD
             flips.append(EdgeFlip(p, q, action))
         flips_by_budget[b] = flips

@@ -43,7 +43,11 @@ def _add_input_flags(sub):
 
 def _select_targets(graph: Graph, args, rep: int) -> list[int]:
     if args.targets:
-        return sorted(int(t) for t in args.targets.split(","))
+        targets = sorted(int(t) for t in args.targets.split(","))
+        bad = [t for t in targets if not 0 <= t < graph.n]
+        if bad:
+            raise SystemExit(f"--targets {bad} out of range for a graph of {graph.n} nodes")
+        return targets
     report = oddball.score_graph(graph)
     top = oddball.rank_top_k(report, args.top_k)
     rng = derive_rng(args.seed, "target-draw", rep)
@@ -80,14 +84,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if not args.targets and args.targets_count > args.top_k:
+        raise SystemExit(f"--targets-count {args.targets_count} exceeds --top-k {args.top_k}")
     graph = _load_graph(args)
+    target_sets = [_select_targets(graph, args, rep) for rep in range(args.reps)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     num_edges = graph.num_edges()
     attack_fn = attacks.ATTACKS[args.attack]
     tau_rows: dict[int, list[float]] = {}
-    for rep in range(args.reps):
-        targets = _select_targets(graph, args, rep)
+    for rep, targets in enumerate(target_sets):
         config = _attack_config(args, targets)
         plan = attack_fn(graph, config)
         plan.save_json(out_dir / f"plan_rep{rep}.json")
@@ -244,10 +250,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        parser.error("--config needs a JSON file path")
     cfg_path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
-    with open(cfg_path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(cfg_path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {cfg_path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {cfg_path}: expected a JSON object of flag values")
     injected = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")

@@ -42,10 +42,6 @@ class NoValidMove(GadPoisonError):
     """Greedy search filtered out every candidate pair."""
 
 
-class NoCandidate(GadPoisonError):
-    """No optimization snapshot reached the requested number of flips."""
-
-
 class ZeroBaseline(GadPoisonError):
     """The clean-graph target score sum is zero; tau_as is undefined."""
 

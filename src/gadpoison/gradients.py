@@ -45,30 +45,30 @@ def _fit_arrays(A: np.ndarray, targets):
     """Shared forward state: features, mask, logs, OLS solve, residuals."""
     n = A.shape[0]
     N = A.sum(axis=1)
-    A2 = A @ A
-    diag3 = np.einsum("ij,ij->i", A, A2)
-    E = N + 0.5 * diag3
 
+    # every precondition depends on N alone: check them before the O(n^3) A @ A
     mask = np.flatnonzero(N > 0)
     if len(mask) < 2:
         raise DegenerateFit("fewer than 2 non-isolated nodes")
     if np.any(N[mask] <= TAU_N):
         bad = mask[N[mask] <= TAU_N]
         raise NodeVanished(f"degree below {TAU_N} at nodes {bad.tolist()}")
-
     x = np.log(N[mask])
-    y = np.log(E[mask])
     xc = x - x.mean()
     sxx = float(xc @ xc)
     if sxx <= 0.0:
         raise DegenerateFit("all masked ln N equal; slope undefined")
-    beta1 = float(xc @ (y - y.mean()) / sxx)
-    beta0 = float(y.mean() - beta1 * x.mean())
-
     targets = np.asarray(sorted(targets), dtype=int)
     in_mask = np.isin(targets, mask)
     if not in_mask.all():
         raise IsolatedTarget(f"targets {targets[~in_mask].tolist()} are isolated")
+
+    A2 = A @ A
+    diag3 = np.einsum("ij,ij->i", A, A2)
+    E = N + 0.5 * diag3
+    y = np.log(E[mask])
+    beta1 = float(xc @ (y - y.mean()) / sxx)
+    beta0 = float(y.mean() - beta1 * x.mean())
     Ehat_t = np.exp(beta0 + beta1 * np.log(N[targets])) if len(targets) else np.zeros(0)
     resid_t = E[targets] - Ehat_t
     value = float(resid_t @ resid_t)

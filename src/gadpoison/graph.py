@@ -104,9 +104,6 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self._adj, other._adj)
 
-    def __hash__(self):
-        return hash((self.n, self._adj.tobytes()))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges()})"
 

@@ -33,6 +33,9 @@ def permutation_test(x, y, m: int = 100_000, seed: int = 0) -> PermTestResult:
     y = np.asarray(y, dtype=float)
     if len(x) < 1 or len(y) < 1 or m < 1:
         raise ValueError("need nonempty samples and m >= 1")
+    for name, sample in (("x", x), ("y", y)):
+        if not np.isfinite(sample).all():
+            raise ValueError(f"sample {name} contains NaN or inf")
     t0 = abs(x.mean() - y.mean())
     pooled = np.concatenate([x, y])
     rng = derive_rng(seed, "permutation_test", len(x), len(y), m)

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from gadpoison import gradients
 from gadpoison.attacks import (
     AttackConfig,
     PerturbationPlan,
+    _finalize_plan,
     binarized_attack,
     continuous_a,
     grad_max_search,
     tau_as,
 )
-from gadpoison.errors import ZeroBaseline
-from gadpoison.graph import EdgeFlip, FlipAction, apply_flips, generate_er
+from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
+from gadpoison.graph import EdgeFlip, FlipAction, apply_flips, derive_rng, generate_ba, generate_er
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
 from test_graph import graph_from_edges
 
@@ -171,6 +173,125 @@ class TestBinarizedAttack:
         # evaluated traces exist for all achieved budgets
         for b in achieved:
             assert math.isfinite(plan.surrogate_trace[b])
+
+
+def dense_binarized_attack(graph, config):
+    """Oracle: BinarizedAttack on a symmetric n x n soft matrix.
+
+    Every step rebuilds the flipped adjacency with ``np.where``, calls the
+    surrogate gradient and gathers the whole upper triangle for the
+    snapshot. The library keeps one entry per pair, toggles only the
+    pairs whose flip state changed and reuses the gradient while the
+    pattern holds; both must give the same plan.
+    """
+    n = graph.n
+    targets = list(config.targets)
+    A0 = graph.adjacency.astype(float)
+    sign_flip = 1.0 - 2.0 * A0
+    iu, ju = np.triu_indices(n, k=1)
+    frozen = np.zeros((n, n), dtype=bool)
+    if not config.allow_add:
+        frozen |= A0 < 0.5
+    if not config.allow_delete:
+        frozen |= A0 > 0.5
+    B = config.budget_max
+    snapshots = []  # (surrogate, flip count, [(p, q), ...] by soft value descending)
+    for lam in config.lambdas:
+        rng = derive_rng(config.seed, "binarized", repr(float(lam)))
+        init = 0.25 + rng.uniform(0.0, 0.05, size=(n, n))
+        zdot = np.triu(init, k=1)
+        zdot = zdot + zdot.T
+        zdot[frozen] = 0.0
+        np.fill_diagonal(zdot, 0.0)
+        for step in range(config.iters + 1):
+            A = np.where(zdot >= 0.5, 1.0 - A0, A0)
+            try:
+                G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
+            except (IsolatedTarget, DegenerateFit, NodeVanished):
+                G, surr = np.zeros((n, n)), math.inf
+            soft = zdot[iu, ju]
+            flipped = np.flatnonzero(soft >= 0.5)
+            sub = flipped[np.lexsort((ju[flipped], iu[flipped], -soft[flipped]))][:B]
+            snapshots.append((surr, len(flipped), [(int(iu[k]), int(ju[k])) for k in sub]))
+            if step == config.iters:
+                break
+            grad = G * sign_flip + lam * np.sign(zdot)
+            grad[frozen] = 0.0
+            zdot = np.clip(zdot - config.lr * grad, 0.0, 1.0)
+            np.fill_diagonal(zdot, 0.0)
+
+    flips_by_budget, failed = {}, {}
+    for b in range(1, B + 1):
+        usable = [s for s in snapshots if math.isfinite(s[0])]
+        pool = [s for s in usable if s[1] == b] or [s for s in usable if s[1] >= b]
+        if not pool:
+            failed[b] = f"no snapshot reached {b} flipped entries"
+            continue
+        best = min(pool, key=lambda s: s[0])  # first of equal minima, as the library
+        flips_by_budget[b] = [
+            EdgeFlip(p, q, FlipAction.DELETE if A0[p, q] > 0.5 else FlipAction.ADD)
+            for p, q in best[2][:b]
+        ]
+    return _finalize_plan(graph, config, "binarized", flips_by_budget, failed)
+
+
+ORACLE_CASES = {
+    "er-default-lambdas": (generate_er(12, 0.3, 3), dict(lr=0.02, iters=120)),
+    "er-two-lambdas": (generate_er(14, 0.25, 5), dict(lr=0.01, iters=150, lambdas=(1e-4, 1e-2))),
+    "ba-add-only": (generate_ba(15, 2, 1), dict(lr=0.02, iters=100, allow_delete=False)),
+    "er-delete-only": (generate_er(12, 0.3, 9), dict(lr=0.02, iters=100, allow_add=False)),
+    # a large step saturates many soft values at 1, so the top-B tie-break decides
+    "ba-saturating": (generate_ba(15, 2, 1), dict(lr=0.5, iters=30, lambdas=(1e-4,))),
+    # delete-only patterns here isolate a target, so a kept failure is reused
+    "ba-isolating": (generate_ba(14, 2, 0), dict(lr=0.05, iters=100, lambdas=(1e-3,),
+                                                 allow_add=False)),
+    "er-isolating": (generate_er(12, 0.25, 4), dict(lr=0.02, iters=100, lambdas=(1e-3,),
+                                                    allow_add=False, seed=4)),
+}
+
+
+def oracle_case(name):
+    g, kwargs = ORACLE_CASES[name]
+    targets = tuple(rank_top_k(score_graph(g), 2))
+    return g, AttackConfig(budget_max=3, targets=targets, **kwargs)
+
+
+class TestBinarizedAgainstDenseOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_plan_equals_dense_loop(self, case):
+        g, cfg = oracle_case(case)
+        assert binarized_attack(g, cfg).to_dict() == dense_binarized_attack(g, cfg).to_dict()
+
+    @pytest.mark.parametrize("case", ["er-two-lambdas", "ba-isolating"])
+    def test_one_gradient_per_distinct_consecutive_pattern(self, case, monkeypatch):
+        g, cfg = oracle_case(case)
+        calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
+        inner = gradients.surrogate_gradient
+
+        def counted(A, targets, return_value=False):
+            try:
+                out = inner(A, targets, return_value=return_value)
+            except (IsolatedTarget, DegenerateFit, NodeVanished):
+                calls.append((A.tobytes(), False))
+                raise
+            calls.append((A.tobytes(), True))
+            return out
+
+        monkeypatch.setattr(gradients, "surrogate_gradient", counted)
+        dense_binarized_attack(g, cfg)
+        steps = cfg.iters + 1
+        assert len(calls) == steps * len(cfg.lambdas)
+        # collapse runs of the same adjacency within each lambda-run
+        expected = []
+        for start in range(0, len(calls), steps):
+            run = calls[start:start + steps]
+            expected += [c for k, c in enumerate(run) if k == 0 or c[0] != run[k - 1][0]]
+        calls.clear()
+        binarized_attack(g, cfg)
+        assert calls == expected
+        assert len(calls) < steps * len(cfg.lambdas)
+        if case == "ba-isolating":
+            assert not all(ok for _, ok in calls)
 
 
 class TestTauAs:

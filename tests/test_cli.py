@@ -95,6 +95,21 @@ class TestAttack:
         d2 = self.run_sweep(tmp_path / "r2", "gradmax")
         assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
 
+    def test_target_out_of_range_fails(self, tmp_path, capsys):
+        rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--seed", "5",
+                   "--attack", "gradmax", "--budget", "1", "--targets", "4,5000",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--targets [5000] out of range for a graph of 30 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_targets_count_above_top_k_fails(self, tmp_path, capsys):
+        rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "gradmax",
+                   "--budget", "1", "--targets-count", "30", "--top-k", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--targets-count 30 exceeds --top-k 20" in capsys.readouterr().err
+
     def test_explicit_targets(self, tmp_path):
         out_dir = tmp_path / "explicit"
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--seed", "5",
@@ -163,6 +178,25 @@ class TestGolden:
         assert digests == self.DIGESTS
 
 
+    BINARIZED_DIGESTS = {
+        "plan_rep0.json": "6421cf691af6cd82be031ee76876400f70709047f30239c7b5fe130a022d1a5f",
+        "trace_rep0.csv": "2c02751aec760c6334781f60d7d79e3cbae51c5c91fdee52f92f558ede2059ec",
+        "summary.csv": "e44ad540c47f0d4a0b01a99ab7b021332cd6c36842c41d8f631ac79ab9cfb3a5",
+    }
+
+    def test_binarized_digests(self, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        assert main(["generate", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "3",
+                     "--out", str(graph_file)]) == 0
+        assert main(["attack", "--input", str(graph_file), "--seed", "3", "--attack", "binarized",
+                     "--budget", "4", "--targets-count", "3", "--top-k", "10",
+                     "--iters", "150", "--lr", "0.002", "--lam", "0.0001", "--lam", "0.01",
+                     "--out", str(tmp_path / "atk")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "atk" / name).read_bytes()).hexdigest()
+                   for name in self.BINARIZED_DIGESTS}
+        assert digests == self.BINARIZED_DIGESTS
+
+
 class TestTransfer:
     def test_zero_budget_zero_delta(self, tmp_path):
         out = tmp_path / "transfer.json"
@@ -202,6 +236,13 @@ class TestPermtest:
         f.write_text("1.0\noops\n")
         assert main(["permtest", str(f), str(f), "--m", "100"]) == 1
 
+    def test_nan_value_fails(self, tmp_path, capsys):
+        x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+        x.write_text("1.0\n2.0\n")
+        y.write_text("1.0\nnan\n")
+        assert main(["permtest", str(x), str(y), "--m", "100"]) == 1
+        assert "sample y contains NaN or inf" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -218,3 +259,24 @@ class TestConfigFile:
         out = tmp_path / "report.csv"
         main(["--config", str(cfg), "score", "--n", "25", "--out", str(out)])
         assert len(out.read_text().splitlines()) == 26
+
+    def test_trailing_config_without_value_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--gen", "er", "--out", str(tmp_path / "r.csv"), "--config"])
+        assert exc.value.code == 2
+        assert "--config needs a JSON file path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_unreadable_config_fails(self, tmp_path, capsys, content, reason):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "score", "--gen", "er", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config {cfg}: " in err and reason in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gadpoison import gradients
-from gadpoison.errors import IsolatedTarget, NodeVanished
+from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
 from gadpoison.graph import Graph, generate_er
 from gadpoison.oddball import ego_features, surrogate_objective
 
@@ -98,6 +98,38 @@ class TestSurrogateValue:
             gradients.surrogate_value(A, [0, 3])
         with pytest.raises(IsolatedTarget, match=r"isolated nodes\): \[3\]"):
             surrogate_objective(ego_features(Graph(A.astype(np.uint8))), [0, 3])
+
+
+class NoSquare(np.ndarray):
+    """A relaxed adjacency that fails the test if it is multiplied by a matrix."""
+
+    def __matmul__(self, other):
+        if self.ndim == 2:
+            raise AssertionError("A @ A computed before the precondition checks")
+        return super().__matmul__(other)
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("edges, targets, error, message", [
+        ([], [0], DegenerateFit, "fewer than 2 non-isolated nodes"),
+        ([(0, 1, 1.0), (2, 3, 1e-9)], [0], NodeVanished, "degree below 1e-06 at nodes [2, 3]"),
+        ([(0, 1, 1.0), (2, 3, 1.0)], [0], DegenerateFit, "all masked ln N equal; slope undefined"),
+        ([(0, 1, 1.0), (1, 2, 1.0)], [3, 0], IsolatedTarget, "targets [3] are isolated"),
+    ])
+    def test_raised_before_matmul(self, edges, targets, error, message):
+        A = np.zeros((4, 4))
+        for p, q, w in edges:
+            A[p, q] = A[q, p] = w
+        for fn in (gradients.surrogate_value, gradients.surrogate_gradient):
+            with pytest.raises(error) as info:
+                fn(A.view(NoSquare), targets)
+            assert str(info.value) == message
+
+    def test_guard_sees_matmul(self):
+        A = np.zeros((3, 3))
+        A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
+        with pytest.raises(AssertionError, match="A @ A"):
+            gradients.surrogate_value(A.view(NoSquare), [0])
 
 
 class TestSurrogateGradient:

@@ -24,6 +24,14 @@ class TestPermutationTest:
         result = permutation_test(x, y, m=10_000, seed=2)
         assert result.p_value <= 0.001
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_non_finite(self, side, bad):
+        clean, dirty = [1.0, 2.0, 3.0], [1.0, bad, 3.0]
+        x, y = (dirty, clean) if side == "x" else (clean, dirty)
+        with pytest.raises(ValueError, match=f"sample {side} contains NaN or inf"):
+            permutation_test(x, y, m=100)
+
     def test_p_value_granularity(self):
         x = np.array([0.0, 1.0])
         y = np.array([10.0, 12.0])
