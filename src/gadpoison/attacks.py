@@ -180,9 +180,10 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     flips: list[EdgeFlip] = []
     notes: list[str] = []
     iu, ju = np.triu_indices(n, k=1)
+    work = gradients.gradient_workspace(n)
 
     for _ in range(config.budget_max):
-        G = gradients.surrogate_gradient(adj, targets)
+        G = gradients.surrogate_gradient(adj, targets, work=work)
         is_edge = adj > 0.5
         # adding a non-edge needs negative gradient; deleting an edge positive
         valid = np.zeros((n, n), dtype=bool)
@@ -222,6 +223,43 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- ContinuousA ---------------------------------------------------------
 
 
+def _descend(A0: np.ndarray, frozen: np.ndarray, config: AttackConfig):
+    """ContinuousA's projected gradient steps from A0.
+
+    Returns the last iterate whose objective is defined, the objective
+    history and a note if the descent stopped early. The iterate buffers
+    and the gradient workspace are freed on return.
+    """
+    n = len(A0)
+    targets = list(config.targets)
+    any_frozen = frozen.any()
+    objective = []
+    notes = []
+    # two iterate buffers: the step writes into the one not holding the
+    # previous iterate, which must survive for the rollback below
+    A, spare = A0.copy(), np.empty((n, n))
+    prev = A
+    work = gradients.gradient_workspace(n)
+    for step in range(config.iters):
+        try:
+            G, val = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
+        except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
+            # the relaxed objective is undefined past this iterate; keep the
+            # last valid point rather than silently repairing the descent
+            A = prev
+            notes.append(f"stopped at iteration {step}: {exc}")
+            break
+        objective.append(val)
+        if any_frozen:
+            G[frozen] = 0.0
+        G *= config.lr
+        np.subtract(A, G, out=spare)
+        np.clip(spare, 0.0, 1.0, out=spare)
+        np.fill_diagonal(spare, 0.0)
+        prev, A, spare = A, spare, A
+    return A, objective, notes
+
+
 def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     """Projected gradient descent on the fully relaxed adjacency.
 
@@ -230,31 +268,13 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     flips.
     """
     n = graph.n
-    targets = list(config.targets)
     A0 = graph.adjacency.astype(float)
-    A = A0.copy()
     frozen = np.zeros((n, n), dtype=bool)
     if not config.allow_add:
         frozen |= A0 < 0.5
     if not config.allow_delete:
         frozen |= A0 > 0.5
-    objective = []
-    notes = []
-    prev = A
-    for step in range(config.iters):
-        try:
-            G, val = gradients.surrogate_gradient(A, targets, return_value=True)
-        except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
-            # the relaxed objective is undefined past this iterate; keep the
-            # last valid point rather than silently repairing the descent
-            A = prev
-            notes.append(f"stopped at iteration {step}: {exc}")
-            break
-        objective.append(val)
-        G[frozen] = 0.0
-        prev = A
-        A = np.clip(A - config.lr * G, 0.0, 1.0)
-        np.fill_diagonal(A, 0.0)
+    A, objective, notes = _descend(A0, frozen, config)
 
     if len(objective) >= 10:
         tail = objective[-max(1, len(objective) // 10):]
@@ -265,7 +285,8 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             notes.append(msg)
 
     iu, ju = np.triu_indices(n, k=1)
-    diff = np.abs(A - A0)[iu, ju]
+    A -= A0
+    diff = np.abs(A, out=A)[iu, ju]
     diff[frozen[iu, ju]] = -1.0
     order = np.lexsort((ju, iu, -diff))  # descending diff, ties lexicographic
     flips_by_budget: dict[int, list[EdgeFlip]] = {}
@@ -282,13 +303,15 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- BinarizedAttack -----------------------------------------------------
 
 
-@dataclass
-class _Snapshot:
-    lam: float
-    step: int
-    surrogate: float
-    flip_count: int
-    top: np.ndarray  # pair indices of the top-B flipped entries, soft value descending
+def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
+    """``flipped[np.argsort(-z[flipped], kind="stable")[:B]]``, sorting only
+    the entries at or above the B-th largest soft value."""
+    zf = z[flipped]
+    if 0 < B < len(zf):
+        kth = np.partition(zf, len(zf) - B)[len(zf) - B]
+        keep = np.flatnonzero(zf >= kth)
+        flipped, zf = flipped[keep], zf[keep]
+    return flipped[np.argsort(-zf, kind="stable")[:B]]
 
 
 def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
@@ -302,10 +325,12 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     steps and only the pairs that entered or left the pattern are toggled.
     While the pattern holds, the adjacency is the same, so the surrogate
     gradient (or the failure it raised) is reused instead of recomputed.
-    Extraction scans all snapshots across all lambdas: for budget b, the
-    snapshot of minimum surrogate among those with exactly b flipped
-    entries supplies the flips; if no snapshot hit b exactly, the best one
-    with more than b flipped entries is truncated to its top-b soft values.
+    Every step is a snapshot, across all lambdas in order: for budget b,
+    the first snapshot of minimum finite surrogate among those with exactly
+    b flipped entries supplies the flips; if no snapshot hit b exactly, the
+    best one with more than b flipped entries is truncated to its top-b
+    soft values. Both choices are tracked as the steps run, and a step's
+    top-B pairs are computed only when it becomes the best for some b.
     """
     if not config.lambdas:
         raise ValueError("BinarizedAttack requires a nonempty lambda set")
@@ -321,13 +346,17 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     if not config.allow_delete:
         frozen_p |= a0 > 0.5
 
+    any_frozen = frozen_p.any()
     B = config.budget_max
-    snapshots: list[_Snapshot] = []
+    # index b: best surrogate so far with exactly / at least b flipped
+    # entries, and that snapshot's top-B pair indices, soft value descending
+    exact_surr, least_surr = np.full(B + 1, np.inf), np.full(B + 1, np.inf)
+    exact_top: list[np.ndarray | None] = [None] * (B + 1)
+    least_top: list[np.ndarray | None] = [None] * (B + 1)
 
-    def pair_gradient(A: np.ndarray) -> tuple[np.ndarray | None, float]:
-        # the n x n field is dropped on return, so at most one is alive
+    def pair_gradient(A: np.ndarray, work) -> tuple[np.ndarray | None, float]:
         try:
-            G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
+            G, surr = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
         except (IsolatedTarget, DegenerateFit, NodeVanished):
             # flip pattern isolated a target; mark the snapshot unusable
             # and let the penalty pull the soft variables back down
@@ -335,12 +364,15 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         return G[iu, ju] * sign_p, surr
 
     for lam in config.lambdas:
+        work = grad = None  # free the last run's workspace before the n x n draw below
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
         z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
         z[frozen_p] = 0.0
         A = A0.copy()
+        work = gradients.gradient_workspace(n)
+        grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
         pattern = np.zeros(0, dtype=np.intp)
-        gsp, surr = pair_gradient(A)
+        gsp, surr = pair_gradient(A, work)
         for step in range(config.iters + 1):
             flipped = np.flatnonzero(z >= 0.5)
             if not np.array_equal(flipped, pattern):
@@ -348,14 +380,30 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
                 p, q = iu[changed], ju[changed]
                 A[p, q] = A[q, p] = 1.0 - A[p, q]
                 pattern = flipped
-                gsp, surr = pair_gradient(A)
-            top = flipped[np.argsort(-z[flipped], kind="stable")[:B]]
-            snapshots.append(_Snapshot(lam, step, surr, len(flipped), top))
+                gsp, surr = pair_gradient(A, work)
+            count = len(flipped)
+            if math.isfinite(surr):
+                # strict < keeps the first of equal minima
+                better = 1 + np.flatnonzero(surr < least_surr[1:min(count, B) + 1])
+                exact = 0 < count <= B and surr < exact_surr[count]
+                if len(better) or exact:
+                    top = _top_pairs(flipped, z, B)
+                    for b in better:
+                        least_surr[b], least_top[b] = surr, top
+                    if exact:
+                        exact_surr[count], exact_top[count] = surr, top
             if step == config.iters:
                 break
-            grad = lam * np.sign(z) if gsp is None else gsp + lam * np.sign(z)
-            grad[frozen_p] = 0.0
-            z = np.clip(z - config.lr * grad, 0.0, 1.0)
+            # grad = gsp + lam * sign(z), zeroed where frozen; z -= lr * grad in [0, 1]
+            np.sign(z, out=grad)
+            grad *= lam
+            if gsp is not None:
+                grad += gsp
+            if any_frozen:
+                grad[frozen_p] = 0.0
+            grad *= config.lr
+            np.subtract(z, grad, out=z)
+            np.clip(z, 0.0, 1.0, out=z)
 
     flips_by_budget: dict[int, list[EdgeFlip]] = {}
     failed: dict[int, str] = {}
@@ -363,21 +411,12 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         # prefer snapshots whose flipped set has exactly b entries: their
         # recorded surrogate is the true value of the extracted plan; fall
         # back to larger flipped sets truncated to their top-b soft values
-        best: _Snapshot | None = None
-        for snap in snapshots:
-            if snap.flip_count == b and math.isfinite(snap.surrogate):
-                if best is None or snap.surrogate < best.surrogate:
-                    best = snap
-        if best is None:
-            for snap in snapshots:
-                if snap.flip_count >= b and math.isfinite(snap.surrogate):
-                    if best is None or snap.surrogate < best.surrogate:
-                        best = snap
-        if best is None:
+        top = exact_top[b] if exact_top[b] is not None else least_top[b]
+        if top is None:
             failed[b] = f"no snapshot reached {b} flipped entries"
             continue
         flips = []
-        for k in best.top[:b]:
+        for k in top[:b]:
             p, q = int(iu[k]), int(ju[k])
             action = FlipAction.DELETE if A0[p, q] > 0.5 else FlipAction.ADD
             flips.append(EdgeFlip(p, q, action))

@@ -245,15 +245,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(flag: str, argv: list[str]) -> bool:
+    """Whether argv sets ``flag`` as ``--flag [value]`` or ``--flag=value``."""
+    return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Prepend config-file values as defaults; explicit flags still win."""
-    if "--config" not in argv:
+    idx = next((k for k, tok in enumerate(argv)
+                if tok == "--config" or tok.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        parser.error("--config needs a JSON file path")
-    cfg_path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
+    if argv[idx] == "--config":
+        if idx + 1 == len(argv):
+            parser.error("--config needs a JSON file path")
+        cfg_path = argv[idx + 1]
+        rest = argv[:idx] + argv[idx + 2:]
+    else:
+        cfg_path = argv[idx].split("=", 1)[1]
+        rest = argv[:idx] + argv[idx + 1:]
     try:
         with open(cfg_path) as fh:
             cfg = json.load(fh)
@@ -264,16 +274,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     injected = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        if flag in rest:
+        if _given(flag, rest):
             continue
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
         elif isinstance(value, list):
-            for v in value:
-                injected.extend([flag, str(v)])
+            injected.extend(f"{flag}={v}" for v in value)
         else:
-            injected.extend([flag, str(value)])
+            injected.append(f"{flag}={value}")
     # injected defaults go right after the subcommand
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + injected + rest[1:]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateFit, IsolatedTarget, NodeVanished
-from .oddball import EgoFeatures
 
 # degree floor before taking ln; below it an attack is isolating a node
 TAU_N = 1e-6
@@ -33,16 +32,20 @@ def as_relaxed(adjacency: np.ndarray) -> np.ndarray:
     return A
 
 
-def relaxed_features(A: np.ndarray) -> EgoFeatures:
-    """N_i = sum_j A_ij and E_i = N_i + (1/2)(A^3)_ii on real-valued A."""
-    N = A.sum(axis=1)
-    A2 = A @ A
-    diag3 = np.einsum("ij,ij->i", A, A2)
-    return EgoFeatures(N=N, E=N + 0.5 * diag3)
+def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three n x n float64 buffers one ``surrogate_gradient`` call needs.
+
+    No call reads what an earlier call left in them, so between calls a
+    caller may use them as scratch (after it is done with the returned G).
+    """
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
 
 
-def _fit_arrays(A: np.ndarray, targets):
-    """Shared forward state: features, mask, logs, OLS solve, residuals."""
+def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
+    """Shared forward state: features, mask, logs, OLS solve, residuals.
+
+    ``A @ A`` is written to ``out`` when given.
+    """
     n = A.shape[0]
     N = A.sum(axis=1)
 
@@ -63,7 +66,7 @@ def _fit_arrays(A: np.ndarray, targets):
     if not in_mask.all():
         raise IsolatedTarget(f"targets {targets[~in_mask].tolist()} are isolated")
 
-    A2 = A @ A
+    A2 = np.matmul(A, A, out=out)
     diag3 = np.einsum("ij,ij->i", A, A2)
     E = N + 0.5 * diag3
     y = np.log(E[mask])
@@ -73,7 +76,7 @@ def _fit_arrays(A: np.ndarray, targets):
     resid_t = E[targets] - Ehat_t
     value = float(resid_t @ resid_t)
     return {
-        "n": n, "N": N, "E": E, "A2": A2, "mask": mask,
+        "n": n, "N": N, "E": E, "mask": mask,
         "x": x, "y": y, "sxx": sxx, "beta0": beta0, "beta1": beta1,
         "targets": targets, "Ehat_t": Ehat_t, "resid_t": resid_t, "value": value,
     }
@@ -86,19 +89,24 @@ def surrogate_value(A: np.ndarray, targets) -> float:
     return _fit_arrays(A, targets)["value"]
 
 
-def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False):
+def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=None):
     """Exact partials of surrogate_value per unordered pair {i, j}.
 
     The returned field G is an n x n symmetric matrix whose (i, j) entry
     is dL/d(pair ij), the derivative when both A_ij and A_ji move
     together. Diagonal is zero.
+
+    ``work`` is a ``gradient_workspace(n)`` to compute in; without it the
+    call allocates its own. The returned G is one of its buffers, so it
+    is overwritten by the next call that is given the same workspace.
     """
     n = A.shape[0]
+    A2, B, G = gradient_workspace(n) if work is None else work
     if len(targets) == 0:
-        G = np.zeros((n, n))
+        G.fill(0.0)
         return (G, 0.0) if return_value else G
-    st = _fit_arrays(A, targets)
-    N, E, A2 = st["N"], st["E"], st["A2"]
+    st = _fit_arrays(A, targets, out=A2)
+    N, E = st["N"], st["E"]
     mask, x, y, sxx = st["mask"], st["x"], st["y"], st["sxx"]
     beta0, beta1 = st["beta0"], st["beta1"]
     targets, Ehat_t, resid_t = st["targets"], st["Ehat_t"], st["resid_t"]
@@ -137,8 +145,16 @@ def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False):
 
     # chain onto pair variables: N gives rank-one terms, D gives
     #   dD_i/d(pair pq) = 2*[i=p or i=q]*(A^2)_pq + 2*A_ip*A_iq
-    G = dL_dN[:, None] + dL_dN[None, :]
-    G += 2.0 * (A * c[:, None]).T @ A  # sum_i c_i * 2 A_ip A_iq, symmetric
-    G += 2.0 * A2 * (c[:, None] + c[None, :])
+    # G = (dL_dN_p + dL_dN_q) + 2 (A^T C A)_pq + 2 (A^2)_pq (c_p + c_q), built
+    # in place with the same roundings per element as that expression
+    np.multiply(A, c[:, None], out=B)
+    np.matmul(B.T, A, out=G)  # sum_i c_i A_ip A_iq, symmetric
+    G *= 2.0
+    np.add(dL_dN[:, None], dL_dN[None, :], out=B)
+    G += B
+    np.add(c[:, None], c[None, :], out=B)
+    B *= 2.0
+    B *= A2
+    G += B
     np.fill_diagonal(G, 0.0)
     return (G, st["value"]) if return_value else G

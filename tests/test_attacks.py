@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadpoison import gradients
 from gadpoison.attacks import (
     AttackConfig,
     PerturbationPlan,
     _finalize_plan,
+    _top_pairs,
     binarized_attack,
     continuous_a,
     grad_max_search,
@@ -111,6 +114,74 @@ class TestContinuousA:
         plan = continuous_a(g, AttackConfig(budget_max=3, targets=top_target(g), iters=100))
         for b, flips in plan.flips_by_budget.items():
             assert len(flips) == b
+
+
+def allocating_continuous_a(graph, config):
+    """Oracle: ContinuousA with a fresh iterate array per step.
+
+    The library steps in place between two reused buffers; the previous
+    iterate must still be intact when a step's objective is undefined.
+    """
+    n = graph.n
+    targets = list(config.targets)
+    A0 = graph.adjacency.astype(float)
+    frozen = np.zeros((n, n), dtype=bool)
+    if not config.allow_add:
+        frozen |= A0 < 0.5
+    if not config.allow_delete:
+        frozen |= A0 > 0.5
+    A = prev = A0.copy()
+    objective, notes = [], []
+    for step in range(config.iters):
+        try:
+            G, val = gradients.surrogate_gradient(A, targets, return_value=True)
+        except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
+            A = prev
+            notes.append(f"stopped at iteration {step}: {exc}")
+            break
+        objective.append(val)
+        G[frozen] = 0.0
+        prev = A
+        A = np.clip(A - config.lr * G, 0.0, 1.0)
+        np.fill_diagonal(A, 0.0)
+    if len(objective) >= 10:
+        tail = objective[-max(1, len(objective) // 10):]
+        if abs(tail[-1] - tail[0]) / max(abs(tail[0]), 1e-12) > 1e-4:
+            notes.append("NonConvergence: objective still moving over the last 10% of iterations")
+    iu, ju = np.triu_indices(n, k=1)
+    diff = np.abs(A - A0)[iu, ju]
+    diff[frozen[iu, ju]] = -1.0
+    order = np.lexsort((ju, iu, -diff))
+    flips_by_budget = {
+        b: [EdgeFlip(int(iu[k]), int(ju[k]),
+                     FlipAction.DELETE if A0[iu[k], ju[k]] > 0.5 else FlipAction.ADD)
+            for k in order[:b]]
+        for b in range(1, config.budget_max + 1)
+    }
+    return _finalize_plan(graph, config, "continuous", flips_by_budget, notes=notes)
+
+
+CONTINUOUS_CASES = {
+    "er-full-run": (generate_er(12, 0.3, 3), dict(lr=0.05, iters=100)),
+    "ba-add-only": (generate_ba(15, 2, 1), dict(lr=0.2, iters=60, allow_delete=False)),
+    # these stop when a step isolates a target, after 11, 4 and 1 steps
+    "ba-rollback-late": (generate_ba(14, 2, 0), dict(lr=1.0, iters=60)),
+    "ba-rollback-mid": (generate_ba(15, 2, 1), dict(lr=3.0, iters=60)),
+    "ba-rollback-first": (generate_ba(14, 2, 0), dict(lr=0.5, iters=60, allow_add=False)),
+}
+
+
+class TestContinuousAgainstAllocatingLoop:
+    @pytest.mark.filterwarnings("ignore:NonConvergence")
+    @pytest.mark.parametrize("case", sorted(CONTINUOUS_CASES))
+    def test_plan_equals_allocating_loop(self, case):
+        g, kwargs = CONTINUOUS_CASES[case]
+        targets = tuple(rank_top_k(score_graph(g), 2))
+        cfg = AttackConfig(budget_max=3, targets=targets, **kwargs)
+        plan = continuous_a(g, cfg)
+        assert plan.to_dict() == allocating_continuous_a(g, cfg).to_dict()
+        stopped = any(note.startswith("stopped at iteration") for note in plan.notes)
+        assert stopped == case.startswith("ba-rollback")
 
 
 class TestBinarizedAttack:
@@ -247,6 +318,9 @@ ORACLE_CASES = {
                                                  allow_add=False)),
     "er-isolating": (generate_er(12, 0.25, 4), dict(lr=0.02, iters=100, lambdas=(1e-3,),
                                                     allow_add=False, seed=4)),
+    # a held pattern repeats its surrogate while the soft order changes, so
+    # the first of equal minima decides which top-b order is truncated
+    "ba-first-of-ties": (generate_ba(15, 2, 1), dict(lr=0.1, iters=80, lambdas=(1e-3,))),
 }
 
 
@@ -268,9 +342,9 @@ class TestBinarizedAgainstDenseOracle:
         calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
         inner = gradients.surrogate_gradient
 
-        def counted(A, targets, return_value=False):
+        def counted(A, targets, **kwargs):
             try:
-                out = inner(A, targets, return_value=return_value)
+                out = inner(A, targets, **kwargs)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 calls.append((A.tobytes(), False))
                 raise
@@ -292,6 +366,32 @@ class TestBinarizedAgainstDenseOracle:
         assert len(calls) < steps * len(cfg.lambdas)
         if case == "ba-isolating":
             assert not all(ok for _, ok in calls)
+
+
+@st.composite
+def soft_pattern(draw):
+    # soft values on a coarse grid with many at exactly 1.0, as after clipping
+    values = st.one_of(st.just(1.0), st.integers(50, 60).map(lambda k: k / 100))
+    z = np.array(draw(st.lists(values, min_size=1, max_size=40)))
+    flipped = np.flatnonzero(z >= 0.5)
+    picked = draw(st.lists(st.sampled_from(flipped.tolist()), unique=True)) if len(flipped) else []
+    return z, np.array(sorted(picked), dtype=np.intp), draw(st.integers(0, 45))
+
+
+class TestTopPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(soft_pattern())
+    def test_partition_equals_stable_argsort(self, case):
+        z, flipped, B = case
+        expected = flipped[np.argsort(-z[flipped], kind="stable")[:B]]
+        assert np.array_equal(_top_pairs(flipped, z, B), expected)
+
+    def test_ties_at_the_cut_keep_index_order(self):
+        z = np.array([1.0, 0.7, 1.0, 1.0, 0.9, 1.0])
+        flipped = np.arange(6)
+        assert _top_pairs(flipped, z, 3).tolist() == [0, 2, 3]
+        assert _top_pairs(flipped, z, 5).tolist() == [0, 2, 3, 5, 4]
+        assert _top_pairs(flipped, z, 9).tolist() == [0, 2, 3, 5, 4, 1]
 
 
 class TestTauAs:

@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gadpoison.cli import main
+from gadpoison.cli import _apply_config_file, build_parser, main
 
 
 def write_star(path, leaves=6):
@@ -197,6 +201,35 @@ class TestGolden:
         assert digests == self.BINARIZED_DIGESTS
 
 
+    CONTINUOUS_DIGESTS = {
+        "plan_rep0.json": "f0ce824d41a1a88517b116c687f6f011a6ed956b9667993fe82345ee69bc2fb6",
+        "trace_rep0.csv": "fd1498b149c1ee7c5c0704b9f27fa49bb59f5cc2a223b5a99f97b47074d37c8a",
+        "summary.csv": "5ccf2d5b4e4d492c64ed49226e9d089915e5f1cb21917a9583b317ccfe6fa816",
+    }
+
+    def test_continuous_digests(self, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        assert main(["generate", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "3",
+                     "--out", str(graph_file)]) == 0
+        # 200 steps at this rate run to the end (the plan notes NonConvergence)
+        assert main(["attack", "--input", str(graph_file), "--seed", "3", "--attack", "continuous",
+                     "--budget", "4", "--targets-count", "3", "--top-k", "10",
+                     "--iters", "200", "--lr", "0.002", "--out", str(tmp_path / "atk")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "atk" / name).read_bytes()).hexdigest()
+                   for name in self.CONTINUOUS_DIGESTS}
+        assert digests == self.CONTINUOUS_DIGESTS
+
+    def test_transfer_digest(self, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        assert main(["generate", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "3",
+                     "--out", str(graph_file)]) == 0
+        out = tmp_path / "transfer.json"
+        assert main(["transfer", "--input", str(graph_file), "--seed", "4", "--budget", "3",
+                     "--epochs", "150", "--lr", "0.1", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "6ed406c3e1f97ec20dc1fa6c4d361a4b5053e03319e7658c6809bb61654b9770"
+
+
 class TestTransfer:
     def test_zero_budget_zero_delta(self, tmp_path):
         out = tmp_path / "transfer.json"
@@ -280,3 +313,71 @@ class TestConfigFile:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"--config {cfg}: " in err and reason in err
+
+    def test_equals_form_config_is_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": "er", "n": 40, "p": 0.1, "seed": 11}))
+        out = tmp_path / "report.csv"
+        assert main([f"--config={cfg}", "score", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 41
+
+    def test_equals_form_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": [0.1], "n": 40}))
+        parser = build_parser()
+        argv = ["--config", str(cfg), "attack", "--gen", "er", "--attack", "binarized",
+                "--budget", "1", "--out", "x", "--lam=0.5", "--n=25"]
+        args = parser.parse_args(_apply_config_file(parser, argv))
+        assert args.lam == [0.5]
+        assert args.n == 25
+
+
+# attack flags with their argparse dest, a value strategy and the parser default
+MERGE_FLAGS = {
+    "seed": (st.integers(0, 99), 0),
+    "n": (st.integers(5, 500), 1000),
+    "lr": (st.floats(1e-4, 1.0), 0.01),
+    "iters": (st.integers(0, 900), 500),
+    "lam": (st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3), None),
+    "top_k": (st.integers(1, 60), 50),
+    "add_only": (st.booleans(), False),
+}
+
+
+@st.composite
+def merge_case(draw):
+    keys = sorted(MERGE_FLAGS)
+    config = {k: draw(MERGE_FLAGS[k][0]) for k in draw(st.sets(st.sampled_from(keys)))}
+    explicit = {k: draw(MERGE_FLAGS[k][0]) for k in draw(st.sets(st.sampled_from(keys)))}
+    equals_form = {k: draw(st.booleans()) for k in explicit}
+    return config, explicit, equals_form, draw(st.booleans())
+
+
+class TestConfigMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(merge_case())
+    def test_explicit_flags_win_config_fills_the_rest(self, case):
+        config, explicit, equals_form, config_equals = case
+        tokens = []
+        for key, value in explicit.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(value, bool):
+                tokens += [flag] if value else []
+                continue
+            for v in value if isinstance(value, list) else [value]:
+                tokens += [f"{flag}={v!r}"] if equals_form[key] else [flag, repr(v)]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            head = [f"--config={cfg}"] if config_equals else ["--config", str(cfg)]
+            argv = head + ["attack", "--gen", "er", "--attack", "gradmax", "--budget", "1",
+                           *tokens, "--out", "x"]
+            parser = build_parser()
+            args = parser.parse_args(_apply_config_file(parser, argv))
+        for key, (_, default) in MERGE_FLAGS.items():
+            # an explicit False store_true flag is simply absent from argv
+            if key in explicit and explicit[key] is not False:
+                expected = explicit[key]
+            else:
+                expected = config.get(key, default)
+            assert getattr(args, key) == expected, key

@@ -3,8 +3,15 @@ import pytest
 
 from gadpoison import gradients
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
-from gadpoison.graph import Graph, generate_er
-from gadpoison.oddball import ego_features, surrogate_objective
+from gadpoison.graph import Graph, generate_ba, generate_er
+from gadpoison.oddball import EgoFeatures, ego_features, surrogate_objective
+
+
+def relaxed_features(A):
+    """N_i = sum_j A_ij and E_i = N_i + (1/2)(A^3)_ii on real-valued A."""
+    N = A.sum(axis=1)
+    diag3 = np.einsum("ij,ij->i", A, A @ A)
+    return EgoFeatures(N=N, E=N + 0.5 * diag3)
 
 
 def jittered_er(n, p, seed, jitter=0.3):
@@ -33,7 +40,7 @@ class TestRelaxedFeatures:
     def test_binary_matches_ego_features(self):
         g = generate_er(25, 0.2, 9)
         f_bin = ego_features(g)
-        f_rel = gradients.relaxed_features(g.adjacency.astype(float))
+        f_rel = relaxed_features(g.adjacency.astype(float))
         assert np.allclose(f_rel.N, f_bin.N)
         assert np.allclose(f_rel.E, f_bin.E)
 
@@ -43,7 +50,7 @@ class TestRelaxedFeatures:
             for j in range(3):
                 if i != j:
                     A[i, j] = 0.5
-        f = gradients.relaxed_features(A)
+        f = relaxed_features(A)
         assert np.allclose(f.N, 1.0)
         assert np.allclose(f.E, 1.125)  # N + 0.5 * 2*(0.5)^3
 
@@ -52,7 +59,7 @@ class TestRelaxedFeatures:
         A = rng.random((10, 10))
         A = (A + A.T) / 2
         np.fill_diagonal(A, 0.0)
-        f = gradients.relaxed_features(A)
+        f = relaxed_features(A)
         diag3 = np.array([
             sum(A[i, j] * A[j, k] * A[k, i] for j in range(10) for k in range(10))
             for i in range(10)
@@ -103,10 +110,12 @@ class TestSurrogateValue:
 class NoSquare(np.ndarray):
     """A relaxed adjacency that fails the test if it is multiplied by a matrix."""
 
-    def __matmul__(self, other):
-        if self.ndim == 2:
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # sees ``A @ A`` and ``np.matmul(A, A, out=...)`` alike
+        if ufunc is np.matmul and self.ndim == 2:
             raise AssertionError("A @ A computed before the precondition checks")
-        return super().__matmul__(other)
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestPreconditions:
@@ -168,6 +177,92 @@ class TestSurrogateGradient:
         A = jittered_er(10, 0.5, 7)
         _, val = gradients.surrogate_gradient(A, [1], return_value=True)
         assert val == pytest.approx(gradients.surrogate_value(A, [1]), rel=1e-12)
+
+
+def binary_ba(n, m, seed):
+    return generate_ba(n, m, seed).adjacency.astype(float)
+
+
+def allocating_gradient(A, targets):
+    """Reference: the backward pass written with fresh temporaries per term.
+
+    The library builds the same expressions in a reused workspace; both
+    must round every element identically.
+    """
+    st = gradients._fit_arrays(A, targets)
+    N, E, mask, x, y, sxx = st["N"], st["E"], st["mask"], st["x"], st["y"], st["sxx"]
+    beta1, targets, Ehat_t, resid_t = st["beta1"], st["targets"], st["Ehat_t"], st["resid_t"]
+    n, M = len(A), len(mask)
+    g_t = -2.0 * resid_t
+    dL_dbeta0 = float(g_t @ Ehat_t)
+    dL_dbeta1 = float(g_t @ (Ehat_t * np.log(N[targets])))
+    xc, yc = x - x.mean(), y - y.mean()
+    db1_dy = xc / sxx
+    db1_dx = (yc - 2.0 * beta1 * xc) / sxx
+    db0_dy = 1.0 / M - x.mean() * db1_dy
+    db0_dx = -beta1 / M - x.mean() * db1_dx
+    dL_dx = dL_dbeta0 * db0_dx + dL_dbeta1 * db1_dx
+    dL_dy = dL_dbeta0 * db0_dy + dL_dbeta1 * db1_dy
+    np.add.at(dL_dx, np.searchsorted(mask, targets), g_t * Ehat_t * beta1)
+    dL_dN, dL_dE = np.zeros(n), np.zeros(n)
+    dL_dN[mask] = dL_dx / N[mask]
+    dL_dE[mask] = dL_dy / E[mask]
+    np.add.at(dL_dE, targets, 2.0 * resid_t)
+    dL_dN += dL_dE
+    c = 0.5 * dL_dE
+    G = dL_dN[:, None] + dL_dN[None, :]
+    G += 2.0 * (A * c[:, None]).T @ A
+    G += 2.0 * (A @ A) * (c[:, None] + c[None, :])
+    np.fill_diagonal(G, 0.0)
+    return G, st["value"]
+
+
+class TestWorkspace:
+    """A reused workspace gives bit-for-bit the field and value of a fresh call."""
+
+    @pytest.mark.parametrize("make, targets", [
+        (lambda: jittered_er(30, 0.2, 12), [3, 11]),
+        (lambda: binary_ba(40, 3, 2), [0, 5, 17]),
+    ])
+    def test_equal_with_and_without_work(self, make, targets):
+        A = make()
+        G0, v0 = gradients.surrogate_gradient(A, targets, return_value=True)
+        Gr, vr = allocating_gradient(A, targets)
+        assert np.array_equal(G0, Gr) and v0 == vr
+        work = gradients.gradient_workspace(len(A))
+        G1, v1 = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
+        assert np.array_equal(G0, G1) and v0 == v1
+        assert any(G1 is buf for buf in work)
+        assert np.array_equal(gradients.surrogate_gradient(A, targets, work=work), G0)
+
+    def test_consecutive_calls_on_different_graphs(self):
+        A1, A2 = binary_ba(40, 3, 2), jittered_er(40, 0.2, 13)
+        expected = [gradients.surrogate_gradient(A, [1, 4], return_value=True) for A in (A1, A2, A1)]
+        work = gradients.gradient_workspace(40)
+        for A, (G, v) in zip((A1, A2, A1), expected):
+            G1, v1 = gradients.surrogate_gradient(A, [1, 4], return_value=True, work=work)
+            assert np.array_equal(G1, G) and v1 == v
+
+    def test_empty_targets(self):
+        A = binary_ba(20, 2, 1)
+        work = gradients.gradient_workspace(20)
+        gradients.surrogate_gradient(A, [0], work=work)  # leave stale values behind
+        G, v = gradients.surrogate_gradient(A, [], return_value=True, work=work)
+        G0, v0 = gradients.surrogate_gradient(A, [], return_value=True)
+        assert v == v0 == 0.0
+        assert np.array_equal(G, G0) and not G.any()
+
+    def test_reuse_after_isolated_target(self):
+        A = binary_ba(30, 2, 4)
+        iso = A.copy()
+        iso[7, :] = iso[:, 7] = 0.0
+        work = gradients.gradient_workspace(30)
+        gradients.surrogate_gradient(A, [7], work=work)
+        with pytest.raises(IsolatedTarget):
+            gradients.surrogate_gradient(iso, [7], work=work)
+        G, v = gradients.surrogate_gradient(iso, [3], return_value=True, work=work)
+        G0, v0 = gradients.surrogate_gradient(iso, [3], return_value=True)
+        assert np.array_equal(G, G0) and v == v0
 
 
 class TestLassoLinearity:
