@@ -14,7 +14,6 @@ from .graph import (
     generate_er,
     load_edge_list,
     plant_clique,
-    sample_connected,
     save_edge_list,
 )
 from .oddball import (

@@ -43,6 +43,9 @@ class AttackConfig:
             raise ValueError("budget_max must be >= 0")
         if not self.targets:
             raise ValueError("target set must be nonempty")
+        repeated = sorted({t for t in self.targets if self.targets.count(t) > 1})
+        if repeated:
+            raise ValueError(f"target ids {repeated} repeat")
         if not (self.allow_add or self.allow_delete):
             raise ValueError("at least one of allow_add/allow_delete required")
 
@@ -161,6 +164,39 @@ def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
     )
 
 
+# -- the pair space shared by the attacks ------------------------------
+
+
+def _pair_space(graph: Graph, config: AttackConfig):
+    """Every unordered pair {i < j} of ``graph`` as vectors ``iu, ju, a0,
+    sign_p, frozen_p``, in lexicographic (``np.triu_indices``) order: the
+    clean 0/1 adjacency value a0, the sign dA/d(flip) of the pair's only
+    move (+1 adds, -1 deletes) and whether the config forbids that move.
+    a0 and sign_p are uint8 and int8, so the vectors beyond the two index
+    arrays take 3 bytes per pair.
+
+    Checks first that every target is a node of ``graph``.
+    """
+    outside = [t for t in config.targets if not 0 <= t < graph.n]
+    if outside:
+        raise ValueError(f"targets {outside} out of range for a graph of {graph.n} nodes")
+    iu, ju = np.triu_indices(graph.n, k=1)
+    a0 = graph.adjacency[iu, ju]  # uint8, as the graph stores it
+    frozen_p = np.zeros(len(a0), dtype=bool)
+    if not config.allow_add:
+        frozen_p |= a0 == 0
+    if not config.allow_delete:
+        frozen_p |= a0 == 1
+    return iu, ju, a0, 1 - 2 * a0.astype(np.int8), frozen_p
+
+
+def _pair_flips(pair_idx, iu, ju, a0) -> list[EdgeFlip]:
+    """The flips of the given pairs, in the given order, each away from
+    the pair's clean state a0."""
+    return [EdgeFlip(int(iu[k]), int(ju[k]), FlipAction.DELETE if a0[k] else FlipAction.ADD)
+            for k in pair_idx]
+
+
 # -- GradMaxSearch -------------------------------------------------------
 
 
@@ -172,49 +208,38 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     justify the only feasible move, when they were already modified, or
     when deleting would isolate an endpoint. Ties break lexicographic.
     """
-    n = graph.n
-    targets = list(config.targets)
+    # a flipped pair is frozen; pairs flip at most once, so a0 stays the
+    # current state of every open pair
+    iu, ju, a0, sign_p, frozen = _pair_space(graph, config)
+    is_edge = a0 == 1
     adj = graph.adjacency.astype(float)
-    degrees = graph.degrees().astype(int)
-    modified = np.zeros((n, n), dtype=bool)
-    flips: list[EdgeFlip] = []
+    degrees = graph.degrees()
+    chosen: list[int] = []
     notes: list[str] = []
-    iu, ju = np.triu_indices(n, k=1)
-    work = gradients.gradient_workspace(n)
+    work = gradients.gradient_workspace(graph.n)
 
     for _ in range(config.budget_max):
-        G = gradients.surrogate_gradient(adj, targets, work=work)
-        is_edge = adj > 0.5
-        # adding a non-edge needs negative gradient; deleting an edge positive
-        valid = np.zeros((n, n), dtype=bool)
-        if config.allow_add:
-            valid |= (~is_edge) & (G < 0)
-        if config.allow_delete:
-            deletable = is_edge & (G > 0)
-            endpoint_deg = np.minimum(degrees[:, None], degrees[None, :])
-            deletable &= endpoint_deg > 1  # never create singleton nodes
-            valid |= deletable
-        valid &= ~modified
-        np.fill_diagonal(valid, False)
-
-        vals = np.where(valid[iu, ju], np.abs(G[iu, ju]), -np.inf)
-        if not np.isfinite(vals.max()):
-            notes.append(f"NoValidMove after {len(flips)} flips; plan truncated")
-            break
+        G = gradients.surrogate_gradient(adj, config.targets, work=work)
+        # adding a non-edge needs a negative gradient, deleting an edge a positive one
+        g = G[iu, ju]
+        g *= sign_p
+        valid = g < 0
+        valid &= ~frozen
+        leaf = degrees <= 1
+        if leaf.any():  # never create singleton nodes
+            valid &= ~(is_edge & (leaf[iu] | leaf[ju]))
+        vals = np.where(valid, -g, -np.inf)
         best = int(np.argmax(vals))  # argmax returns first max: lexicographic
-        p, q = int(iu[best]), int(ju[best])
-        if is_edge[p, q]:
-            flips.append(EdgeFlip(p, q, FlipAction.DELETE))
-            adj[p, q] = adj[q, p] = 0.0
-            degrees[p] -= 1
-            degrees[q] -= 1
-        else:
-            flips.append(EdgeFlip(p, q, FlipAction.ADD))
-            adj[p, q] = adj[q, p] = 1.0
-            degrees[p] += 1
-            degrees[q] += 1
-        modified[p, q] = modified[q, p] = True
+        if not np.isfinite(vals[best]):
+            notes.append(f"NoValidMove after {len(chosen)} flips; plan truncated")
+            break
+        p, q = iu[best], ju[best]
+        adj[p, q] = adj[q, p] = 1.0 - a0[best]
+        degrees[[p, q]] += int(sign_p[best])
+        frozen[best] = True
+        chosen.append(best)
 
+    flips = _pair_flips(chosen, iu, ju, a0)
     flips_by_budget = {b: flips[:b] for b in range(1, len(flips) + 1)}
     failed = {b: "no valid move" for b in range(len(flips) + 1, config.budget_max + 1)}
     return _finalize_plan(graph, config, "gradmax", flips_by_budget, failed, notes)
@@ -223,26 +248,25 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- ContinuousA ---------------------------------------------------------
 
 
-def _descend(A0: np.ndarray, frozen: np.ndarray, config: AttackConfig):
-    """ContinuousA's projected gradient steps from A0.
+def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
+    """ContinuousA's projected gradient steps from A, whose buffer becomes
+    one of the two iterate buffers.
 
     Returns the last iterate whose objective is defined, the objective
     history and a note if the descent stopped early. The iterate buffers
     and the gradient workspace are freed on return.
     """
-    n = len(A0)
-    targets = list(config.targets)
+    n = len(A)
     any_frozen = frozen.any()
-    objective = []
-    notes = []
+    objective, notes = [], []
     # two iterate buffers: the step writes into the one not holding the
     # previous iterate, which must survive for the rollback below
-    A, spare = A0.copy(), np.empty((n, n))
+    spare = np.empty((n, n))
     prev = A
     work = gradients.gradient_workspace(n)
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
+            G, val = gradients.surrogate_gradient(A, config.targets, return_value=True, work=work)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
             # last valid point rather than silently repairing the descent
@@ -267,14 +291,10 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     descending (ties lexicographic) and the top b become the budget-b
     flips.
     """
-    n = graph.n
-    A0 = graph.adjacency.astype(float)
-    frozen = np.zeros((n, n), dtype=bool)
-    if not config.allow_add:
-        frozen |= A0 < 0.5
-    if not config.allow_delete:
-        frozen |= A0 > 0.5
-    A, objective, notes = _descend(A0, frozen, config)
+    iu, ju, a0, _, fp = _pair_space(graph, config)
+    frozen = np.zeros((graph.n, graph.n), dtype=bool)  # shaped as the gradient field
+    frozen[iu[fp], ju[fp]] = frozen[ju[fp], iu[fp]] = True
+    A, objective, notes = _descend(graph.adjacency.astype(float), frozen, config)
 
     if len(objective) >= 10:
         tail = objective[-max(1, len(objective) // 10):]
@@ -284,19 +304,11 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             warnings.warn(msg)
             notes.append(msg)
 
-    iu, ju = np.triu_indices(n, k=1)
-    A -= A0
-    diff = np.abs(A, out=A)[iu, ju]
-    diff[frozen[iu, ju]] = -1.0
-    order = np.lexsort((ju, iu, -diff))  # descending diff, ties lexicographic
-    flips_by_budget: dict[int, list[EdgeFlip]] = {}
-    for b in range(1, config.budget_max + 1):
-        flips = []
-        for k in order[:b]:
-            p, q = int(iu[k]), int(ju[k])
-            action = FlipAction.DELETE if A0[p, q] > 0.5 else FlipAction.ADD
-            flips.append(EdgeFlip(p, q, action))
-        flips_by_budget[b] = flips
+    diff = np.abs(A[iu, ju] - a0)
+    diff[fp] = -1.0
+    order = np.argsort(-diff, kind="stable")  # descending diff, ties lexicographic
+    flips = _pair_flips(order[:config.budget_max], iu, ju, a0)
+    flips_by_budget = {b: flips[:b] for b in range(1, config.budget_max + 1)}
     return _finalize_plan(graph, config, "continuous", flips_by_budget, notes=notes)
 
 
@@ -335,17 +347,8 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     if not config.lambdas:
         raise ValueError("BinarizedAttack requires a nonempty lambda set")
     n = graph.n
-    targets = list(config.targets)
-    A0 = graph.adjacency.astype(float)
-    iu, ju = np.triu_indices(n, k=1)
-    a0 = A0[iu, ju]
-    sign_p = 1.0 - 2.0 * a0  # dA/dz through the straight-through estimator
-    frozen_p = np.zeros(len(a0), dtype=bool)
-    if not config.allow_add:
-        frozen_p |= a0 < 0.5
-    if not config.allow_delete:
-        frozen_p |= a0 > 0.5
-
+    # sign_p is dA/dz through the straight-through estimator
+    iu, ju, a0, sign_p, frozen_p = _pair_space(graph, config)
     any_frozen = frozen_p.any()
     B = config.budget_max
     # index b: best surrogate so far with exactly / at least b flipped
@@ -356,7 +359,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 
     def pair_gradient(A: np.ndarray, work) -> tuple[np.ndarray | None, float]:
         try:
-            G, surr = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
+            G, surr = gradients.surrogate_gradient(A, config.targets, return_value=True, work=work)
         except (IsolatedTarget, DegenerateFit, NodeVanished):
             # flip pattern isolated a target; mark the snapshot unusable
             # and let the penalty pull the soft variables back down
@@ -364,11 +367,11 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         return G[iu, ju] * sign_p, surr
 
     for lam in config.lambdas:
-        work = grad = None  # free the last run's workspace before the n x n draw below
+        A = work = grad = None  # free the last run's buffers before the n x n draw below
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
         z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
         z[frozen_p] = 0.0
-        A = A0.copy()
+        A = graph.adjacency.astype(float)
         work = gradients.gradient_workspace(n)
         grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
         pattern = np.zeros(0, dtype=np.intp)
@@ -415,12 +418,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         if top is None:
             failed[b] = f"no snapshot reached {b} flipped entries"
             continue
-        flips = []
-        for k in top[:b]:
-            p, q = int(iu[k]), int(ju[k])
-            action = FlipAction.DELETE if A0[p, q] > 0.5 else FlipAction.ADD
-            flips.append(EdgeFlip(p, q, action))
-        flips_by_budget[b] = flips
+        flips_by_budget[b] = _pair_flips(top[:b], iu, ju, a0)
     return _finalize_plan(graph, config, "binarized", flips_by_budget, failed)
 
 

@@ -87,14 +87,14 @@ def cmd_attack(args) -> int:
     if not args.targets and args.targets_count > args.top_k:
         raise SystemExit(f"--targets-count {args.targets_count} exceeds --top-k {args.top_k}")
     graph = _load_graph(args)
-    target_sets = [_select_targets(graph, args, rep) for rep in range(args.reps)]
+    # every config is validated (repeated target ids, ...) before any output
+    configs = [_attack_config(args, _select_targets(graph, args, rep)) for rep in range(args.reps)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     num_edges = graph.num_edges()
     attack_fn = attacks.ATTACKS[args.attack]
     tau_rows: dict[int, list[float]] = {}
-    for rep, targets in enumerate(target_sets):
-        config = _attack_config(args, targets)
+    for rep, config in enumerate(configs):
         plan = attack_fn(graph, config)
         plan.save_json(out_dir / f"plan_rep{rep}.json")
         plan.save_csv(out_dir / f"trace_rep{rep}.csv", num_edges=num_edges)

@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DegenerateFit, NoConsensus
 from .graph import Graph, derive_rng
-from .oddball import AnomalyReport, EgoFeatures, RegressionFit, _masked_logs, anomaly_scores, ego_features, fit_ols
+from .oddball import (AnomalyReport, EgoFeatures, RegressionFit, _line_fit, _masked_logs, anomaly_scores,
+                      ego_features, fit_ols)
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,13 @@ def fit_huber(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> R
     for _ in range(config.huber_iters):
         resid = y - beta0 - beta1 * x
         absr = np.maximum(np.abs(resid), 1e-12)
-        w = np.minimum(1.0, k / absr)
-        sw = w.sum()
-        xw = (w * x).sum() / sw
-        yw = (w * y).sum() / sw
-        sxx = (w * (x - xw) ** 2).sum()
-        if sxx <= 0:
+        coef = _line_fit(x, y, np.minimum(1.0, k / absr))
+        if coef is None:
             raise DegenerateFit("weighted design became singular")
-        new_beta1 = float((w * (x - xw) * (y - yw)).sum() / sxx)
-        new_beta0 = float(yw - new_beta1 * xw)
-        if abs(new_beta0 - beta0) < config.huber_tol and abs(new_beta1 - beta1) < config.huber_tol:
-            beta0, beta1 = new_beta0, new_beta1
+        done = abs(coef[0] - beta0) < config.huber_tol and abs(coef[1] - beta1) < config.huber_tol
+        beta0, beta1 = coef
+        if done:
             break
-        beta0, beta1 = new_beta0, new_beta1
     return RegressionFit(beta0, beta1, "huber", mask)
 
 
@@ -95,13 +90,10 @@ def fit_ransac(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> 
     if best is None:
         raise NoConsensus("no candidate line had at least 2 inliers")
     _, _, _, inliers = best
-    xi, yi = x[inliers], y[inliers]
-    sxx = float(np.sum((xi - xi.mean()) ** 2))
-    if sxx == 0:
+    coef = _line_fit(x[inliers], y[inliers])
+    if coef is None:
         raise NoConsensus("consensus set has no ln N spread")
-    beta1 = float(np.sum((xi - xi.mean()) * (yi - yi.mean())) / sxx)
-    beta0 = float(yi.mean() - beta1 * xi.mean())
-    return RegressionFit(beta0, beta1, "ransac", mask[inliers])
+    return RegressionFit(*coef, "ransac", mask[inliers])
 
 
 def rescore_features(features: EgoFeatures, fitter: str,
@@ -111,15 +103,13 @@ def rescore_features(features: EgoFeatures, fitter: str,
     if fitter == "huber":
         fit = fit_huber(features, config)
     elif fitter == "ransac":
+        # score every non-isolated node against the consensus line
         fit = fit_ransac(features, config)
+        fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(features)[0])
     elif fitter == "ols":
         fit = fit_ols(features)
     else:
         raise ValueError(f"unknown fitter {fitter!r}")
-    if fitter == "ransac":
-        # score every non-isolated node against the consensus line
-        full_fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(features)[0])
-        return anomaly_scores(features, full_fit)
     return anomaly_scores(features, fit)
 
 

@@ -38,10 +38,6 @@ class IsolatedTarget(GadPoisonError, ValueError):
     """A target node has degree zero, so it lies outside the power-law fit."""
 
 
-class NoValidMove(GadPoisonError):
-    """Greedy search filtered out every candidate pair."""
-
-
 class ZeroBaseline(GadPoisonError):
     """The clean-graph target score sum is zero; tau_as is undefined."""
 

@@ -13,23 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateFit, IsolatedTarget, NodeVanished
+from .oddball import RegressionFit, _line_fit
 
 # degree floor before taking ln; below it an attack is isolating a node
 TAU_N = 1e-6
-
-
-def as_relaxed(adjacency: np.ndarray) -> np.ndarray:
-    """Validate and copy a symmetric [0,1] matrix with zero diagonal."""
-    A = np.array(adjacency, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("relaxed adjacency must be square")
-    if not np.allclose(A, A.T):
-        raise ValueError("relaxed adjacency must be symmetric")
-    if np.any(np.diag(A) != 0):
-        raise ValueError("relaxed adjacency must have zero diagonal")
-    if A.min() < 0 or A.max() > 1:
-        raise ValueError("relaxed entries must lie in [0, 1]")
-    return A
 
 
 def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -42,11 +29,10 @@ def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
-    """Shared forward state: features, mask, logs, OLS solve, residuals.
+    """Shared forward state: features, mask, logs, line fit, residuals.
 
     ``A @ A`` is written to ``out`` when given.
     """
-    n = A.shape[0]
     N = A.sum(axis=1)
 
     # every precondition depends on N alone: check them before the O(n^3) A @ A
@@ -57,40 +43,38 @@ def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
         bad = mask[N[mask] <= TAU_N]
         raise NodeVanished(f"degree below {TAU_N} at nodes {bad.tolist()}")
     x = np.log(N[mask])
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx <= 0.0:
+    xbar = x.mean()
+    xc = x - xbar
+    sxx = float(np.sum(xc**2))  # the x-spread _line_fit finds, bit for bit
+    if sxx == 0.0:
         raise DegenerateFit("all masked ln N equal; slope undefined")
     targets = np.asarray(sorted(targets), dtype=int)
-    in_mask = np.isin(targets, mask)
-    if not in_mask.all():
-        raise IsolatedTarget(f"targets {targets[~in_mask].tolist()} are isolated")
+    isolated = targets[~(N[targets] > 0)]
+    if len(isolated):
+        raise IsolatedTarget(f"targets {isolated.tolist()} are isolated")
 
     A2 = np.matmul(A, A, out=out)
     diag3 = np.einsum("ij,ij->i", A, A2)
     E = N + 0.5 * diag3
     y = np.log(E[mask])
-    beta1 = float(xc @ (y - y.mean()) / sxx)
-    beta0 = float(y.mean() - beta1 * x.mean())
-    Ehat_t = np.exp(beta0 + beta1 * np.log(N[targets])) if len(targets) else np.zeros(0)
+    fit = RegressionFit(*_line_fit(x, y), "ols", mask)
+    Ehat_t = fit.predict_E(N[targets])
     resid_t = E[targets] - Ehat_t
     value = float(resid_t @ resid_t)
     return {
-        "n": n, "N": N, "E": E, "mask": mask,
-        "x": x, "y": y, "sxx": sxx, "beta0": beta0, "beta1": beta1,
+        "N": N, "E": E, "mask": mask,
+        "x": x, "y": y, "xbar": xbar, "xc": xc, "yc": y - y.mean(), "sxx": sxx,
+        "beta0": fit.beta0, "beta1": fit.beta1,
         "targets": targets, "Ehat_t": Ehat_t, "resid_t": resid_t, "value": value,
     }
 
 
-def surrogate_value(A: np.ndarray, targets) -> float:
-    """Full forward pass of the attack objective on a relaxed adjacency."""
-    if len(targets) == 0:
-        return 0.0
-    return _fit_arrays(A, targets)["value"]
-
-
 def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=None):
-    """Exact partials of surrogate_value per unordered pair {i, j}.
+    """Exact partials of the attack objective per unordered pair {i, j}.
+
+    The objective is the sum over targets of squared residuals
+    (E_t - Ehat_t)^2 on the relaxed adjacency A, with the line refitted
+    to A's own features; ``return_value`` also returns its value.
 
     The returned field G is an n x n symmetric matrix whose (i, j) entry
     is dL/d(pair ij), the derivative when both A_ij and A_ji move
@@ -107,8 +91,8 @@ def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=
         return (G, 0.0) if return_value else G
     st = _fit_arrays(A, targets, out=A2)
     N, E = st["N"], st["E"]
-    mask, x, y, sxx = st["mask"], st["x"], st["y"], st["sxx"]
-    beta0, beta1 = st["beta0"], st["beta1"]
+    mask, xbar, xc, yc, sxx = st["mask"], st["xbar"], st["xc"], st["yc"], st["sxx"]
+    beta1 = st["beta1"]
     targets, Ehat_t, resid_t = st["targets"], st["Ehat_t"], st["resid_t"]
     M = len(mask)
 
@@ -119,12 +103,10 @@ def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=
     dL_dbeta1 = float(g_t @ (Ehat_t * xt))
 
     # adjoints of the closed-form solve: beta1 = Sxy/Sxx, beta0 = ybar - beta1*xbar
-    xc = x - x.mean()
-    yc = y - y.mean()
     db1_dy = xc / sxx
     db1_dx = (yc - 2.0 * beta1 * xc) / sxx
-    db0_dy = 1.0 / M - x.mean() * db1_dy
-    db0_dx = -beta1 / M - x.mean() * db1_dx
+    db0_dy = 1.0 / M - xbar * db1_dy
+    db0_dx = -beta1 / M - xbar * db1_dx
 
     dL_dx = dL_dbeta0 * db0_dx + dL_dbeta1 * db1_dx
     dL_dy = dL_dbeta0 * db0_dy + dL_dbeta1 * db1_dy

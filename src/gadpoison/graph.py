@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,10 +38,6 @@ class EdgeFlip:
     def __post_init__(self):
         if not 0 <= self.i < self.j:
             raise ValueError(f"flip requires 0 <= i < j, got ({self.i}, {self.j})")
-
-    def inverse(self) -> "EdgeFlip":
-        other = FlipAction.DELETE if self.action is FlipAction.ADD else FlipAction.ADD
-        return EdgeFlip(self.i, self.j, other)
 
 
 class Graph:
@@ -319,55 +314,3 @@ def plant_clique(graph: Graph, size: int, seed: int) -> tuple[Graph, list[int]]:
                 adj[a, b] = 1
     return Graph(adj), members
 
-
-# -- connected subsampling ---------------------------------------------
-
-
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Connected components as sorted node-id lists, largest first."""
-    seen = np.zeros(graph.n, dtype=bool)
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    comps.sort(key=len, reverse=True)
-    return comps
-
-
-def sample_connected(graph: Graph, target_size: int, seed: int) -> Graph:
-    """Induced subgraph on ``target_size`` nodes grown by seeded BFS.
-
-    The start node is drawn uniformly from a component of sufficient
-    size; the result is always connected.
-    """
-    comps = [c for c in connected_components(graph) if len(c) >= target_size]
-    if not comps:
-        raise ValueError(f"no connected component of size >= {target_size}")
-    rng = derive_rng(seed, "sample_connected", target_size)
-    comp = comps[int(rng.integers(len(comps)))]
-    start = comp[int(rng.integers(len(comp)))]
-    kept = []
-    seen = {start}
-    queue = deque([start])
-    while queue and len(kept) < target_size:
-        u = queue.popleft()
-        kept.append(u)
-        for v in graph.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    kept = sorted(kept)
-    idx = np.array(kept)
-    sub = graph.adjacency[np.ix_(idx, idx)]
-    return Graph(sub)

@@ -81,6 +81,24 @@ def _masked_logs(features: EgoFeatures):
     return mask, x, y
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
+    """Closed-form weighted least-squares line y = beta0 + beta1 * x.
+
+    Returns (beta0, beta1), or None when the weighted spread of x is zero.
+    Without weights every point weighs 1, which gives the unweighted fit
+    bit for bit.
+    """
+    if w is None:
+        w = np.ones_like(x)
+    sw = w.sum()
+    xm, ym = (w * x).sum() / sw, (w * y).sum() / sw
+    sxx = float((w * (x - xm) ** 2).sum())
+    if sxx == 0.0:
+        return None
+    beta1 = float((w * (x - xm) * (y - ym)).sum() / sxx)
+    return float(ym - beta1 * xm), beta1
+
+
 def fit_ols(features: EgoFeatures) -> RegressionFit:
     """Ordinary least squares of ln E on [1, ln N] over nodes with N >= 1.
 
@@ -91,12 +109,10 @@ def fit_ols(features: EgoFeatures) -> RegressionFit:
     mask, x, y = _masked_logs(features)
     if len(mask) < 2:
         raise DegenerateFit(f"need at least 2 nodes with N >= 1, have {len(mask)}")
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
+    coef = _line_fit(x, y)
+    if coef is None:
         return RegressionFit(float(y.mean()), 0.0, "ols", mask, degenerate=True)
-    beta1 = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    beta0 = float(y.mean() - beta1 * x.mean())
-    return RegressionFit(beta0, beta1, "ols", mask)
+    return RegressionFit(*coef, "ols", mask)
 
 
 def anomaly_scores(features: EgoFeatures, fit: RegressionFit) -> AnomalyReport:

@@ -255,24 +255,6 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
-def auc_trapezoid(labels: np.ndarray, scores: np.ndarray) -> float:
-    """AUC as the trapezoidal integral of the ROC curve."""
-    labels = np.asarray(labels)
-    scores = np.asarray(scores, dtype=float)
-    n1 = int((labels == 1).sum())
-    n0 = len(labels) - n1
-    if n1 == 0 or n0 == 0:
-        raise ValueError("AUC needs both classes present")
-    thresholds = np.unique(scores)[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for th in thresholds:
-        pred = scores >= th
-        tpr.append(float((pred & (labels == 1)).sum()) / n1)
-        fpr.append(float((pred & (labels == 0)).sum()) / n0)
-    return float(np.trapezoid(tpr, fpr))
-
-
 def f1_score(labels: np.ndarray, probs: np.ndarray, threshold: float = 0.5) -> float:
     pred = np.asarray(probs) >= threshold
     labels = np.asarray(labels) == 1

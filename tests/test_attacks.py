@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gadpoison import gradients
 from gadpoison.attacks import (
+    ATTACKS,
     AttackConfig,
     PerturbationPlan,
     _finalize_plan,
@@ -19,7 +20,7 @@ from gadpoison.attacks import (
     tau_as,
 )
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
-from gadpoison.graph import EdgeFlip, FlipAction, apply_flips, derive_rng, generate_ba, generate_er
+from gadpoison.graph import EdgeFlip, FlipAction, Graph, apply_flips, derive_rng, generate_ba, generate_er
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
 from test_graph import graph_from_edges
 
@@ -79,6 +80,88 @@ class TestGradMaxSearch:
         g = generate_er(12, 0.3, 11)
         cfg = AttackConfig(budget_max=3, targets=top_target(g))
         assert grad_max_search(g, cfg).to_dict() == grad_max_search(g, cfg).to_dict()
+
+
+def dense_grad_max_search(graph, config):
+    """Oracle: GradMaxSearch with n x n masks rebuilt every step.
+
+    The library works on pair vectors and freezes each flipped pair
+    instead of keeping a ``modified`` matrix; both must give the same plan.
+    """
+    n = graph.n
+    targets = list(config.targets)
+    adj = graph.adjacency.astype(float)
+    degrees = graph.degrees().astype(int)
+    modified = np.zeros((n, n), dtype=bool)
+    flips, notes = [], []
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(config.budget_max):
+        G = gradients.surrogate_gradient(adj, targets)
+        is_edge = adj > 0.5
+        # adding a non-edge needs negative gradient; deleting an edge positive
+        valid = np.zeros((n, n), dtype=bool)
+        if config.allow_add:
+            valid |= (~is_edge) & (G < 0)
+        if config.allow_delete:
+            deletable = is_edge & (G > 0)
+            deletable &= np.minimum(degrees[:, None], degrees[None, :]) > 1
+            valid |= deletable
+        valid &= ~modified
+        np.fill_diagonal(valid, False)
+        vals = np.where(valid[iu, ju], np.abs(G[iu, ju]), -np.inf)
+        if not np.isfinite(vals.max()):
+            notes.append(f"NoValidMove after {len(flips)} flips; plan truncated")
+            break
+        best = int(np.argmax(vals))
+        p, q = int(iu[best]), int(ju[best])
+        if is_edge[p, q]:
+            flips.append(EdgeFlip(p, q, FlipAction.DELETE))
+            adj[p, q] = adj[q, p] = 0.0
+            degrees[[p, q]] -= 1
+        else:
+            flips.append(EdgeFlip(p, q, FlipAction.ADD))
+            adj[p, q] = adj[q, p] = 1.0
+            degrees[[p, q]] += 1
+        modified[p, q] = modified[q, p] = True
+    flips_by_budget = {b: flips[:b] for b in range(1, len(flips) + 1)}
+    failed = {b: "no valid move" for b in range(len(flips) + 1, config.budget_max + 1)}
+    return _finalize_plan(graph, config, "gradmax", flips_by_budget, failed, notes)
+
+
+def with_leaves(graph):
+    """``graph`` plus three degree-1 nodes, two hung on its top-scoring
+    node and one on the runner-up."""
+    top = rank_top_k(score_graph(graph), 2)
+    n = graph.n + 3
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[:graph.n, :graph.n] = graph.adjacency
+    for leaf, host in zip(range(graph.n, n), (top[0], top[0], top[1])):
+        adj[leaf, host] = adj[host, leaf] = 1
+    return Graph(adj)
+
+
+GRADMAX_CASES = {
+    "ba-default": (generate_ba(30, 2, 4), dict(budget_max=8)),
+    "er-default": (generate_er(20, 0.2, 6), dict(budget_max=8)),
+    "ba-add-only": (generate_ba(25, 2, 1), dict(budget_max=6, allow_delete=False)),
+    "er-delete-only": (generate_er(18, 0.3, 2), dict(budget_max=6, allow_add=False)),
+    # the best deletion by gradient would cut a degree-1 endpoint off
+    "ba-leaf-endpoint": (with_leaves(generate_ba(20, 2, 2)), dict(budget_max=6, allow_add=False)),
+    "er-leaf-endpoint": (with_leaves(generate_er(20, 0.2, 6)), dict(budget_max=6, allow_add=False)),
+    # delete-only runs out of valid moves after 5 flips
+    "ba-no-valid-move": (with_leaves(generate_ba(20, 2, 1)), dict(budget_max=6, allow_add=False)),
+}
+
+
+class TestGradMaxAgainstDenseOracle:
+    @pytest.mark.parametrize("case", sorted(GRADMAX_CASES))
+    def test_plan_equals_dense_loop(self, case):
+        g, kwargs = GRADMAX_CASES[case]
+        cfg = AttackConfig(targets=tuple(rank_top_k(score_graph(g), 2)), **kwargs)
+        plan = grad_max_search(g, cfg)
+        assert plan.to_dict() == dense_grad_max_search(g, cfg).to_dict()
+        truncated = any(note.startswith("NoValidMove") for note in plan.notes)
+        assert truncated == case.endswith("no-valid-move")
 
 
 class TestContinuousA:
@@ -392,6 +475,19 @@ class TestTopPairs:
         assert _top_pairs(flipped, z, 3).tolist() == [0, 2, 3]
         assert _top_pairs(flipped, z, 5).tolist() == [0, 2, 3, 5, 4]
         assert _top_pairs(flipped, z, 9).tolist() == [0, 2, 3, 5, 4, 1]
+
+
+class TestTargetValidation:
+    def test_repeated_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"target ids \[1, 3\] repeat"):
+            AttackConfig(budget_max=1, targets=(3, 1, 3, 2, 1))
+
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_ids_outside_the_graph_named(self, attack):
+        g = generate_er(12, 0.3, 1)
+        cfg = AttackConfig(budget_max=1, targets=(-1, 2, 12, 70), iters=5)
+        with pytest.raises(ValueError, match=r"^targets \[-1, 12, 70\] out of range for a graph of 12 nodes$"):
+            ATTACKS[attack](g, cfg)
 
 
 class TestTauAs:

@@ -107,6 +107,14 @@ class TestAttack:
         assert "--targets [5000] out of range for a graph of 30 nodes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_targets_fail(self, tmp_path, capsys):
+        rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--seed", "5",
+                   "--attack", "gradmax", "--budget", "1", "--targets", "3,7,3",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "target ids [3] repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_targets_count_above_top_k_fails(self, tmp_path, capsys):
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "gradmax",
                    "--budget", "1", "--targets-count", "30", "--top-k", "20",

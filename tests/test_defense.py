@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from gadpoison.defense import RobustConfig, fit_huber, fit_ransac, huber_loss, robust_rescore
@@ -42,6 +44,17 @@ class TestFitHuber:
         o = fit_ols(f)
         assert h.beta0 == pytest.approx(o.beta0, abs=1e-8)
         assert h.beta1 == pytest.approx(o.beta1, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 300.0)), min_size=2, max_size=50))
+    def test_huge_k_is_ols_exactly(self, nodes):
+        N = np.array([float(d) for d, _ in nodes])
+        f = EgoFeatures(N=N, E=N + np.array([t for _, t in nodes]))
+        assume((N >= 1).sum() >= 2)
+        h = fit_huber(f, RobustConfig(huber_k=1e200))  # every weight min(1, k/|r|) is 1
+        o = fit_ols(f)
+        assert (h.beta0, h.beta1, h.degenerate) == (o.beta0, o.beta1, o.degenerate)
+        assert np.array_equal(h.fit_mask, o.fit_mask)
 
     def test_objective_non_increasing(self):
         f = contaminated_features(seed=3)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadpoison import gradients
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
 from gadpoison.graph import Graph, generate_ba, generate_er
-from gadpoison.oddball import EgoFeatures, ego_features, surrogate_objective
+from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, rank_top_k, score_graph, surrogate_objective
 
 
 def relaxed_features(A):
@@ -12,6 +14,13 @@ def relaxed_features(A):
     N = A.sum(axis=1)
     diag3 = np.einsum("ij,ij->i", A, A @ A)
     return EgoFeatures(N=N, E=N + 0.5 * diag3)
+
+
+def surrogate_value(A, targets):
+    """Forward pass alone: the attack objective on a relaxed adjacency."""
+    if len(targets) == 0:
+        return 0.0
+    return gradients._fit_arrays(A, targets)["value"]
 
 
 def jittered_er(n, p, seed, jitter=0.3):
@@ -33,7 +42,7 @@ def fd_pair_gradient(A, targets, p, q, h=1e-5):
     Ap[q, p] += h
     Am[p, q] -= h
     Am[q, p] -= h
-    return (gradients.surrogate_value(Ap, targets) - gradients.surrogate_value(Am, targets)) / (2 * h)
+    return (surrogate_value(Ap, targets) - surrogate_value(Am, targets)) / (2 * h)
 
 
 class TestRelaxedFeatures:
@@ -71,13 +80,13 @@ class TestSurrogateValue:
     def test_binary_consistency(self):
         g = generate_er(30, 0.2, 14)
         targets = [1, 5]
-        v_rel = gradients.surrogate_value(g.adjacency.astype(float), targets)
+        v_rel = surrogate_value(g.adjacency.astype(float), targets)
         v_bin = surrogate_objective(ego_features(g), targets)
         assert v_rel == pytest.approx(v_bin, abs=1e-10)
 
     def test_empty_targets_zero(self):
         g = generate_er(10, 0.4, 1)
-        assert gradients.surrogate_value(g.adjacency.astype(float), []) == 0.0
+        assert surrogate_value(g.adjacency.astype(float), []) == 0.0
 
     def test_independent_forward_oracle(self):
         A = jittered_er(8, 0.6, 5)
@@ -89,22 +98,36 @@ class TestSurrogateValue:
         b1 = np.cov(x, y, bias=True)[0, 1] / np.var(x)
         b0 = y.mean() - b1 * x.mean()
         expected = sum((E[t] - np.exp(b0) * N[t] ** b1) ** 2 for t in targets)
-        assert gradients.surrogate_value(A, targets) == pytest.approx(expected, rel=1e-12)
+        assert surrogate_value(A, targets) == pytest.approx(expected, rel=1e-12)
 
     def test_node_vanished(self):
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 0] = 1.0
         A[2, 3] = A[3, 2] = 1e-9
         with pytest.raises(NodeVanished):
-            gradients.surrogate_value(A, [0])
+            surrogate_value(A, [0])
 
     def test_isolated_target(self):
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
         with pytest.raises(IsolatedTarget, match=r"targets \[3\] are isolated"):
-            gradients.surrogate_value(A, [0, 3])
+            surrogate_value(A, [0, 3])
         with pytest.raises(IsolatedTarget, match=r"isolated nodes\): \[3\]"):
             surrogate_objective(ego_features(Graph(A.astype(np.uint8))), [0, 3])
+
+
+class TestForwardSharesTheDetectorFit:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(6, 40), m=st.integers(1, 3))
+    def test_binary_fit_and_prediction_bit_equal(self, seed, n, m):
+        g = generate_ba(n, m, seed)
+        targets = sorted(rank_top_k(score_graph(g), 3))
+        state = gradients._fit_arrays(g.adjacency.astype(float), targets)
+        feats = ego_features(g)
+        fit = fit_ols(feats)
+        assert not fit.degenerate
+        assert (state["beta0"], state["beta1"]) == (fit.beta0, fit.beta1)
+        assert np.array_equal(state["Ehat_t"], fit.predict_E(feats.N[targets]))
 
 
 class NoSquare(np.ndarray):
@@ -129,7 +152,7 @@ class TestPreconditions:
         A = np.zeros((4, 4))
         for p, q, w in edges:
             A[p, q] = A[q, p] = w
-        for fn in (gradients.surrogate_value, gradients.surrogate_gradient):
+        for fn in (surrogate_value, gradients.surrogate_gradient):
             with pytest.raises(error) as info:
                 fn(A.view(NoSquare), targets)
             assert str(info.value) == message
@@ -138,7 +161,7 @@ class TestPreconditions:
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
         with pytest.raises(AssertionError, match="A @ A"):
-            gradients.surrogate_value(A.view(NoSquare), [0])
+            surrogate_value(A.view(NoSquare), [0])
 
 
 class TestSurrogateGradient:
@@ -176,7 +199,7 @@ class TestSurrogateGradient:
     def test_value_matches_surrogate_value(self):
         A = jittered_er(10, 0.5, 7)
         _, val = gradients.surrogate_gradient(A, [1], return_value=True)
-        assert val == pytest.approx(gradients.surrogate_value(A, [1]), rel=1e-12)
+        assert val == pytest.approx(surrogate_value(A, [1]), rel=1e-12)
 
 
 def binary_ba(n, m, seed):

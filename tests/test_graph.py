@@ -9,11 +9,9 @@ from gadpoison.graph import (
     FlipAction,
     Graph,
     apply_flips,
-    connected_components,
     generate_ba,
     generate_er,
     load_edge_list,
-    sample_connected,
     save_edge_list,
 )
 
@@ -109,38 +107,6 @@ class TestGenerate:
         assert generate_ba(40, 3, 11) == generate_ba(40, 3, 11)
 
 
-class TestSampleConnected:
-    def test_path_prefix(self):
-        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        sub = sample_connected(g, 3, seed=0)
-        assert sub.n == 3
-        assert len(connected_components(sub)) == 1
-
-    def test_full_size_returns_graph(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert sample_connected(g, 4, seed=1) == g
-
-    def test_er_giant_component_bfs_oracle(self):
-        g = generate_er(1000, 0.02, 13)
-        sub = sample_connected(g, 500, seed=4)
-        assert sub.n == 500
-        # independent BFS connectivity oracle
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in sub.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(int(v))
-        assert len(seen) == 500
-
-    def test_no_big_component(self):
-        g = graph_from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            sample_connected(g, 3, seed=0)
-
-
 class TestApplyFlips:
     def test_empty_plan_identity(self):
         g = generate_er(20, 0.2, 1)
@@ -157,7 +123,8 @@ class TestApplyFlips:
         flips = [EdgeFlip(0, 1, FlipAction.ADD if not g.has_edge(0, 1) else FlipAction.DELETE),
                  EdgeFlip(2, 5, FlipAction.ADD if not g.has_edge(2, 5) else FlipAction.DELETE)]
         poisoned = apply_flips(g, flips)
-        restored = apply_flips(poisoned, [f.inverse() for f in reversed(flips)])
+        undo = {FlipAction.ADD: FlipAction.DELETE, FlipAction.DELETE: FlipAction.ADD}
+        restored = apply_flips(poisoned, [EdgeFlip(f.i, f.j, undo[f.action]) for f in reversed(flips)])
         assert restored == g
 
     def test_invalid_flip_reports_index(self):

@@ -11,6 +11,7 @@ from gadpoison.oddball import (
     AnomalyReport,
     EgoFeatures,
     RegressionFit,
+    _line_fit,
     anomaly_scores,
     ego_features,
     fit_ols,
@@ -111,6 +112,33 @@ class TestFitOls:
         g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2)])  # nodes 3,4 isolated
         fit = fit_ols(ego_features(g))
         assert set(fit.fit_mask.tolist()) == {0, 1, 2}
+
+
+def unweighted_line(x, y):
+    """The plain least-squares line as written before weights were shared."""
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    if sxx == 0.0:
+        return None
+    beta1 = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    return float(y.mean() - beta1 * x.mean()), beta1
+
+
+class TestLineFit:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 8.0),
+                                     st.floats(-5.0, 12.0)), min_size=1, max_size=60))
+    def test_unit_weights_give_the_unweighted_fit_bit_for_bit(self, points):
+        x, y = (np.array(col) for col in zip(*points))
+        expected = unweighted_line(x, y)
+        assert _line_fit(x, y) == expected
+        assert _line_fit(x, y, np.ones(len(x))) == expected
+
+    def test_weights_pick_the_points(self):
+        x, y = np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 3.0, 0.0, 7.0])
+        # zero weight drops a point: the line through (0, 1), (1, 3), (3, 7)
+        beta0, beta1 = _line_fit(x, y, np.array([1.0, 1.0, 0.0, 1.0]))
+        assert beta0 == pytest.approx(1.0) and beta1 == pytest.approx(2.0)
+        assert _line_fit(x, y, np.array([0.0, 0.0, 1.0, 0.0])) is None
 
 
 class TestAnomalyScores:

@@ -11,7 +11,6 @@ from gadpoison.transfer import (
     _log_bin,
     _neighbor_aggregates,
     auc_rank,
-    auc_trapezoid,
     evaluate_transfer,
     f1_score,
     identify_targets,
@@ -20,6 +19,24 @@ from gadpoison.transfer import (
     train_classifier,
 )
 from test_graph import graph_from_edges
+
+
+def auc_trapezoid(labels, scores):
+    """AUC as the trapezoidal integral of the ROC curve: the oracle for auc_rank."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    n1 = int((labels == 1).sum())
+    n0 = len(labels) - n1
+    if n1 == 0 or n0 == 0:
+        raise ValueError("AUC needs both classes present")
+    thresholds = np.unique(scores)[::-1]
+    tpr = [0.0]
+    fpr = [0.0]
+    for th in thresholds:
+        pred = scores >= th
+        tpr.append(float((pred & (labels == 1)).sum()) / n1)
+        fpr.append(float((pred & (labels == 0)).sum()) / n0)
+    return float(np.trapezoid(tpr, fpr))
 
 
 def cycle(n):
