@@ -181,7 +181,9 @@ def _pair_space(graph: Graph, config: AttackConfig):
     if outside:
         raise ValueError(f"targets {outside} out of range for a graph of {graph.n} nodes")
     iu, ju = np.triu_indices(graph.n, k=1)
-    a0 = graph.adjacency[iu, ju]  # uint8, as the graph stores it
+    a0 = np.zeros(len(iu), dtype=np.uint8)
+    u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
+    a0[u * (2 * graph.n - u - 1) // 2 + v - u - 1] = 1  # lexicographic index of pair {u < v}
     frozen_p = np.zeros(len(a0), dtype=bool)
     if not config.allow_add:
         frozen_p |= a0 == 0
@@ -212,7 +214,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     # current state of every open pair
     iu, ju, a0, sign_p, frozen = _pair_space(graph, config)
     is_edge = a0 == 1
-    adj = graph.adjacency.astype(float)
+    adj = graph.dense()
     degrees = graph.degrees()
     chosen: list[int] = []
     notes: list[str] = []
@@ -294,7 +296,7 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     iu, ju, a0, _, fp = _pair_space(graph, config)
     frozen = np.zeros((graph.n, graph.n), dtype=bool)  # shaped as the gradient field
     frozen[iu[fp], ju[fp]] = frozen[ju[fp], iu[fp]] = True
-    A, objective, notes = _descend(graph.adjacency.astype(float), frozen, config)
+    A, objective, notes = _descend(graph.dense(), frozen, config)
 
     if len(objective) >= 10:
         tail = objective[-max(1, len(objective) // 10):]
@@ -371,7 +373,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
         z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
         z[frozen_p] = 0.0
-        A = graph.adjacency.astype(float)
+        A = graph.dense()
         work = gradients.gradient_workspace(n)
         grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
         pattern = np.zeros(0, dtype=np.intp)

@@ -46,7 +46,7 @@ def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
     xbar = x.mean()
     xc = x - xbar
     sxx = float(np.sum(xc**2))  # the x-spread _line_fit finds, bit for bit
-    if sxx == 0.0:
+    if sxx == 0.0 or x.min() == x.max():  # the test _line_fit makes
         raise DegenerateFit("all masked ln N equal; slope undefined")
     targets = np.asarray(sorted(targets), dtype=int)
     isolated = targets[~(N[targets] > 0)]

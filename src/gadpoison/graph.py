@@ -1,4 +1,4 @@
-"""Undirected simple-graph core: representation, I/O, generators, edit plans."""
+"""Undirected simple-graph core: O(n + m) CSR representation, I/O, generators, edit plans."""
 
 from __future__ import annotations
 
@@ -41,63 +41,72 @@ class EdgeFlip:
 
 
 class Graph:
-    """Immutable undirected, unweighted, self-loop-free graph.
-
-    Stores a dense symmetric 0/1 adjacency matrix for O(1) pair queries
-    plus per-node sorted neighbor arrays for fast set intersection.
-    Degrees are counted on construction and diag(A^3) on first use; both
-    are kept, since the graph never changes.
+    """Immutable undirected, unweighted, self-loop-free graph on nodes 0..n-1,
+    built from its (m, 2) edges, each unordered pair listed once, and held
+    as sorted CSR rows in O(n + m) memory: node i's ascending neighbors are
+    ``indices[indptr[i]:indptr[i + 1]]``. diag(A^3) is counted on first use
+    and kept. Only the attacks need the dense n x n matrix, which
+    ``dense()`` builds afresh on each call.
     """
 
-    __slots__ = ("n", "_adj", "_neighbors", "_degrees", "_diag3")
+    __slots__ = ("n", "indptr", "indices", "_diag3")
 
-    def __init__(self, adjacency: np.ndarray):
-        adj = np.asarray(adjacency)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(adj) != 0):
+    def __init__(self, n: int, edges):
+        e = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) array of node-id pairs, got shape {e.shape}")
+        if not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"node ids must be integers, got dtype {e.dtype}")
+        if len(e) and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"node ids must lie in [0, {n})")
+        if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
-        if not ((adj == 0) | (adj == 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        self.n = adj.shape[0]
-        self._adj = adj.astype(np.uint8)
-        self._adj.setflags(write=False)
-        self._neighbors = [np.flatnonzero(self._adj[i]) for i in range(self.n)]
-        self._degrees = np.array([len(nbrs) for nbrs in self._neighbors], dtype=np.int64)
+        # row-major keys u * n + v of both directions, sorted: a pair listed
+        # twice, in either order, shows as two equal neighboring keys
+        u, v = e.T.astype(np.int64)
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        dup = keys[:-1][keys[1:] == keys[:-1]]
+        if len(dup):
+            raise ValueError(f"pair {tuple(sorted(divmod(int(dup[0]), n)))} listed twice")
+        self.n = n
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
         self._diag3 = None
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Read-only dense 0/1 adjacency matrix."""
-        return self._adj
-
     def neighbors(self, i: int) -> np.ndarray:
-        return self._neighbors[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._neighbors[i])
+        """Read-only ascending neighbor ids of node i."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def degrees(self) -> np.ndarray:
         """Per-node degree as a fresh int64 array."""
-        return self._degrees.copy()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._adj[i, j])
+        return np.diff(self.indptr)
 
     def num_edges(self) -> int:
-        return int(self._adj.sum()) // 2
+        return len(self.indices) // 2
+
+    def _rows(self) -> np.ndarray:
+        """Row id of every CSR entry."""
+        return np.repeat(np.arange(self.n), self.degrees())
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
-        iu, ju = np.nonzero(np.triu(self._adj, k=1))
-        return list(zip(iu.tolist(), ju.tolist()))
+        rows = self._rows()
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    def dense(self) -> np.ndarray:
+        """A fresh float64 0/1 n x n adjacency matrix (8 n^2 bytes)."""
+        adj = np.zeros((self.n, self.n))
+        adj[self._rows(), self.indices] = 1.0
+        return adj
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and np.array_equal(self._adj, other._adj)
+        return (isinstance(other, Graph) and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges()})"
@@ -107,18 +116,25 @@ class Graph:
     def triangle_diagonal(self) -> np.ndarray:
         """Per-node count of closed length-3 walks, i.e. diag(A^3).
 
-        Equals twice the number of triangles through each node. Computed
-        by neighbor-set intersection, O(sum_i d_i * d_max), on the first
-        call; later calls return the same read-only int64 array.
+        Twice the number of triangles through each node. The first call
+        orients every edge towards the endpoint of higher (degree, id) and
+        closes each forward path u -> v -> w by looking up u -> w, which
+        finds every triangle once; later calls return the same read-only
+        int64 array.
         """
         if self._diag3 is None:
-            out = np.zeros(self.n, dtype=np.int64)
-            for i in range(self.n):
-                nbrs = self._neighbors[i]
-                if len(nbrs) < 2:
-                    continue
-                # paths i -> j -> k -> i: for each neighbor j, count common neighbors
-                out[i] = int(self._adj[np.ix_(nbrs, nbrs)].sum())
+            n, rows, cols = self.n, self._rows(), self.indices
+            rank = self.degrees() * n + np.arange(n)
+            fwd = rank[rows] < rank[cols]
+            fu, fv = rows[fwd], cols[fwd]  # forward edges, sorted by (fu, fv)
+            out_ptr = np.concatenate([[0], np.cumsum(np.bincount(fu, minlength=n))])
+            # paths u -> v -> w: each forward edge (u, v) times each forward edge of v
+            cnt = np.diff(out_ptr)[fv]
+            first = np.repeat(out_ptr[fv] - (np.cumsum(cnt) - cnt), cnt)
+            pu, pv, pw = np.repeat(fu, cnt), np.repeat(fv, cnt), fv[first + np.arange(cnt.sum())]
+            fkeys, pkeys = fu * n + fv, pu * n + pw  # sorted / unsorted
+            closed = fkeys[np.minimum(np.searchsorted(fkeys, pkeys), len(fkeys) - 1)] == pkeys
+            out = 2 * sum(np.bincount(p[closed], minlength=n) for p in (pu, pv, pw))
             out.setflags(write=False)
             self._diag3 = out
         return self._diag3
@@ -141,15 +157,15 @@ def apply_flips(graph: Graph, flips: list[EdgeFlip]) -> Graph:
 
     Each flip must be valid against the state produced by the preceding
     flips; raises InvalidFlip with the offending index otherwise. This
-    copies and revalidates the whole n x n adjacency; when only degrees
-    and diag(A^3) of the result are needed, ``flip_counts`` (and so
+    rebuilds the whole graph from its edge set; when only degrees and
+    diag(A^3) of the result are needed, ``flip_counts`` (and so
     ``oddball.ego_features(graph, flips)``) gets them without that.
     """
-    adj = graph.adjacency.copy()
+    edges = set(graph.edges())
     for idx, flip in enumerate(flips):
-        _check_flip(idx, flip, graph.n, lambda i, j: bool(adj[i, j]))
-        adj[flip.i, flip.j] = adj[flip.j, flip.i] = flip.action is FlipAction.ADD
-    return Graph(adj)
+        _check_flip(idx, flip, graph.n, lambda i, j: (i, j) in edges)
+        edges ^= {(flip.i, flip.j)}  # add or delete, as checked
+    return Graph(graph.n, list(edges))
 
 
 def flip_counts(graph: Graph, flips: list[EdgeFlip]) -> tuple[np.ndarray, np.ndarray]:
@@ -180,12 +196,8 @@ def flip_counts(graph: Graph, flips: list[EdgeFlip]) -> tuple[np.ndarray, np.nda
         degrees[[p, q]] += sign
         diag3[[p, q]] += 2 * sign * len(common)
         diag3[common] += 2 * sign
-        if sign > 0:
-            nbrs(p).add(q)
-            nbrs(q).add(p)
-        else:
-            nbrs(p).discard(q)
-            nbrs(q).discard(p)
+        nbrs(p).symmetric_difference_update((q,))  # add or delete, as checked
+        nbrs(q).symmetric_difference_update((p,))
     return degrees, diag3
 
 
@@ -230,11 +242,7 @@ def load_edge_list(path, drop_nonpositive_weights: bool = False) -> Graph:
     if not pairs:
         raise EmptyGraph(f"{path}: no edges after filtering")
     remap = {orig: new for new, orig in enumerate(sorted(ids))}
-    adj = np.zeros((len(remap), len(remap)), dtype=np.uint8)
-    for u, v in pairs:
-        a, b = remap[u], remap[v]
-        adj[a, b] = adj[b, a] = 1
-    return Graph(adj)
+    return Graph(len(remap), [(remap[u], remap[v]) for u, v in pairs])
 
 
 def save_edge_list(graph: Graph, path) -> None:
@@ -252,10 +260,7 @@ def generate_er(n: int, p: float, seed: int) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError(f"link probability must be in [0,1], got {p}")
     rng = derive_rng(seed, "er", n, p)
-    upper = rng.random((n, n)) < p
-    adj = np.triu(upper, k=1)
-    adj = (adj | adj.T).astype(np.uint8)
-    return Graph(adj)
+    return Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
 
 
 def generate_ba(n: int, m: int, seed: int) -> Graph:
@@ -267,9 +272,7 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     if not 1 <= m < n:
         raise ValueError(f"require 1 <= m < n, got m={m}, n={n}")
     rng = derive_rng(seed, "ba", n, m)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[:m, :m] = 1
-    np.fill_diagonal(adj, 0)
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     # repeated-nodes list gives degree-proportional sampling
     repeated: list[int] = [i for i in range(m) for _ in range(max(m - 1, 1))]
     for new in range(m, n):
@@ -278,10 +281,10 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
             pick = repeated[rng.integers(len(repeated))]
             chosen.add(pick)
         for node in chosen:
-            adj[new, node] = adj[node, new] = 1
+            edges.append((node, new))
             repeated.append(node)
         repeated.extend([new] * m)
-    return Graph(adj)
+    return Graph(n, edges)
 
 
 def generate(model: str, n: int, seed: int, p: float | None = None, m: int | None = None) -> Graph:
@@ -307,10 +310,6 @@ def plant_clique(graph: Graph, size: int, seed: int) -> tuple[Graph, list[int]]:
         raise ValueError("clique size exceeds node count")
     rng = derive_rng(seed, "plant_clique", size)
     members = sorted(rng.choice(graph.n, size=size, replace=False).tolist())
-    adj = graph.adjacency.copy()
-    for a in members:
-        for b in members:
-            if a != b:
-                adj[a, b] = 1
-    return Graph(adj), members
+    clique = {(a, b) for k, a in enumerate(members) for b in members[k + 1:]}
+    return Graph(graph.n, list(clique | set(graph.edges()))), members
 

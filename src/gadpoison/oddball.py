@@ -84,16 +84,18 @@ def _masked_logs(features: EgoFeatures):
 def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
     """Closed-form weighted least-squares line y = beta0 + beta1 * x.
 
-    Returns (beta0, beta1), or None when the weighted spread of x is zero.
-    Without weights every point weighs 1, which gives the unweighted fit
-    bit for bit.
+    Returns (beta0, beta1), or None when every x of positive weight is
+    equal (tested as such: their rounded mean can leave a nonzero spread)
+    or their spread underflows. Without weights every point weighs 1,
+    which gives the unweighted fit bit for bit.
     """
     if w is None:
         w = np.ones_like(x)
     sw = w.sum()
     xm, ym = (w * x).sum() / sw, (w * y).sum() / sw
     sxx = float((w * (x - xm) ** 2).sum())
-    if sxx == 0.0:
+    xw = x[w > 0]
+    if sxx == 0.0 or xw.min() == xw.max():
         return None
     beta1 = float((w * (x - xm) * (y - ym)).sum() / sxx)
     return float(ym - beta1 * xm), beta1

@@ -49,15 +49,9 @@ def _neighbor_aggregates(graph: Graph, column: np.ndarray):
 
     Empty neighborhoods aggregate to 0.
     """
-    sums = np.zeros(graph.n)
-    means = np.zeros(graph.n)
-    for i in range(graph.n):
-        nbrs = graph.neighbors(i)
-        if len(nbrs):
-            s = float(column[nbrs].sum())
-            sums[i] = s
-            means[i] = s / len(nbrs)
-    return means, sums
+    sums = np.array([column[graph.neighbors(i)].sum() for i in range(graph.n)])
+    deg = graph.degrees()
+    return np.divide(sums, deg, out=np.zeros(graph.n), where=deg > 0), sums
 
 
 def _is_redundant(candidate: np.ndarray, retained: list[np.ndarray], threshold: float) -> bool:
@@ -82,10 +76,7 @@ def _log_bin(column: np.ndarray, bins: int, p: float) -> np.ndarray:
     """
     n = len(column)
     # cumulative counts at bin boundaries
-    cuts = []
-    for t in range(bins - 1):
-        frac = 1.0 - (1.0 - p) ** (t + 1)
-        cuts.append(max(1, int(round(frac * n))))
+    cuts = [max(1, int(round((1.0 - (1.0 - p) ** (t + 1)) * n))) for t in range(bins - 1)]
     order = np.argsort(-column, kind="stable")
     tentative = np.empty(n, dtype=int)
     tentative[order] = np.searchsorted(cuts, np.arange(n), side="right")
@@ -317,6 +308,23 @@ def _run_once(graph: Graph, split: LabeledSplit, config: PipelineConfig):
     return emb, clf, probs
 
 
+def _report(split: LabeledSplit, probs0: np.ndarray, probs1: np.ndarray, targets) -> TransferReport:
+    """Metrics of the clean (probs0) and poisoned (probs1) classifier outputs."""
+    tgt = np.asarray(sorted(targets))
+    test, y_test = split.test_ids, split.labels[split.test_ids]
+    sl0, slb = float(probs0[tgt].sum()), float(probs1[tgt].sum())
+    return TransferReport(
+        auc_clean=auc_rank(y_test, probs0[test]),
+        f1_clean=f1_score(y_test, probs0[test]),
+        auc_poisoned=auc_rank(y_test, probs1[test]),
+        f1_poisoned=f1_score(y_test, probs1[test]),
+        soft_label_sum_clean=sl0,
+        soft_label_sum_poisoned=slb,
+        delta_b=(sl0 - slb) / sl0 if sl0 > 0 else math.nan,
+        targets=tuple(int(t) for t in tgt),
+    )
+
+
 def evaluate_transfer(clean: Graph, poisoned: Graph, config: PipelineConfig,
                       split: LabeledSplit | None = None,
                       targets: list[int] | None = None) -> TransferReport:
@@ -331,32 +339,19 @@ def evaluate_transfer(clean: Graph, poisoned: Graph, config: PipelineConfig,
     emb0, clf0, probs0 = _run_once(clean, split, config)
     if targets is None:
         targets = identify_targets(clf0, emb0, split)
-    tgt = np.asarray(sorted(targets))
-    test = split.test_ids
-    y_test = split.labels[test]
     _, _, probs1 = _run_once(poisoned, split, config)
-    sl0 = float(probs0[tgt].sum())
-    slb = float(probs1[tgt].sum())
-    return TransferReport(
-        auc_clean=auc_rank(y_test, probs0[test]),
-        f1_clean=f1_score(y_test, probs0[test]),
-        auc_poisoned=auc_rank(y_test, probs1[test]),
-        f1_poisoned=f1_score(y_test, probs1[test]),
-        soft_label_sum_clean=sl0,
-        soft_label_sum_poisoned=slb,
-        delta_b=(sl0 - slb) / sl0 if sl0 > 0 else math.nan,
-        targets=tuple(int(t) for t in tgt),
-    )
+    return _report(split, probs0, probs1, targets)
 
 
 def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig,
                         attack_config: attacks.AttackConfig | None = None) -> TransferReport:
-    """Full four-step protocol with the binarized attack as the poisoner."""
+    """Full four-step protocol with the binarized attack as the poisoner;
+    the clean run picks the targets and gives the clean metrics."""
     split = make_labeled_split(graph, pipeline.anomaly_fraction, pipeline.test_fraction, pipeline.seed)
-    emb, clf, _ = _run_once(graph, split, pipeline)
+    emb, clf, probs0 = _run_once(graph, split, pipeline)
     targets = identify_targets(clf, emb, split)
     if budget == 0:
-        return evaluate_transfer(graph, graph, pipeline, split=split, targets=targets)
+        return _report(split, probs0, probs0, targets)
     if attack_config is None:
         attack_config = attacks.AttackConfig(budget_max=budget, targets=tuple(targets), seed=pipeline.seed)
     plan = attacks.binarized_attack(graph, attack_config)
@@ -364,4 +359,5 @@ def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig,
     if not achieved:
         raise EmptyTargets("attack produced no flips within budget")
     poisoned = apply_flips(graph, plan.flips_by_budget[max(achieved)])
-    return evaluate_transfer(graph, poisoned, pipeline, split=split, targets=targets)
+    _, _, probs1 = _run_once(poisoned, split, pipeline)
+    return _report(split, probs0, probs1, targets)

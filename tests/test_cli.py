@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gadpoison
 from gadpoison.cli import _apply_config_file, build_parser, main
+from gadpoison.graph import Graph, generate_ba
+from gadpoison.oddball import rank_top_k, score_graph
 
 
 def write_star(path, leaves=6):
@@ -163,6 +169,37 @@ class TestDefend:
                    "--out", str(tmp_path / "defense.csv")])
         assert rc == 1
         assert "flip #1: edge (1,2) already present" in capsys.readouterr().err
+
+
+class TestDetectionStaysSparse:
+    """Scoring and defending hold O(n + m); only the attacks build n x n."""
+
+    def test_score_and_defend_never_build_dense(self, tmp_path, monkeypatch):
+        g = generate_ba(60, 3, 1)
+        add = next(j for j in range(1, 60) if j not in g.neighbors(0))
+        (u, v), = g.edges()[:1]
+        flips = [{"i": u, "j": v, "action": "delete"}, {"i": 0, "j": add, "action": "add"}]
+        plan = {"schema_version": 1, "targets": rank_top_k(score_graph(g), 2),
+                "flips_by_budget": {"1": flips[:1], "2": flips}}
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+
+        def refuse(self):
+            raise AssertionError("detection built a dense n x n matrix")
+
+        monkeypatch.setattr(Graph, "dense", refuse)
+        source = ["--gen", "ba", "--n", "60", "--m", "3", "--seed", "1"]
+        assert main(["score", *source, "--out", str(tmp_path / "report.csv")]) == 0
+        assert main(["defend", *source, "--plan", str(plan_file),
+                     "--out", str(tmp_path / "defense.csv")]) == 0
+        assert len((tmp_path / "defense.csv").read_text().splitlines()) == 4
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(gadpoison.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, gadpoison.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestGolden:

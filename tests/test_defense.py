@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from gadpoison.defense import RobustConfig, fit_huber, fit_ransac, huber_loss, robust_rescore
-from gadpoison.graph import generate_er
+from gadpoison.graph import Graph, generate_er
 from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, score_graph
-from test_graph import graph_from_edges
 
 
 def features_on_line(beta0, beta1, n_values):
@@ -120,7 +119,7 @@ class TestRobustRescore:
             assert rho >= 0.95, (fitter, rho)
 
     def test_star_all_zero(self):
-        g = graph_from_edges(7, [(0, i) for i in range(1, 7)])
+        g = Graph(7, [(0, i) for i in range(1, 7)])
         assert np.allclose(robust_rescore(g, "huber").scores, 0.0, atol=1e-8)
 
     def test_never_negative(self):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from gadpoison import gradients
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
-from gadpoison.graph import Graph, generate_ba, generate_er
+from gadpoison.graph import generate_ba, generate_er
 from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, rank_top_k, score_graph, surrogate_objective
+from test_graph import from_dense
 
 
 def relaxed_features(A):
@@ -28,7 +29,7 @@ def jittered_er(n, p, seed, jitter=0.3):
     rng = np.random.default_rng(seed + 1000)
     noise = rng.uniform(-jitter, jitter, (n, n))
     noise = (noise + noise.T) / 2
-    A = np.clip(g.adjacency + noise, 0.0, 1.0)
+    A = np.clip(g.dense() + noise, 0.0, 1.0)
     np.fill_diagonal(A, 0.0)
     # keep every degree clear of the vanishing floor
     row = A.sum(axis=1)
@@ -49,7 +50,7 @@ class TestRelaxedFeatures:
     def test_binary_matches_ego_features(self):
         g = generate_er(25, 0.2, 9)
         f_bin = ego_features(g)
-        f_rel = relaxed_features(g.adjacency.astype(float))
+        f_rel = relaxed_features(g.dense())
         assert np.allclose(f_rel.N, f_bin.N)
         assert np.allclose(f_rel.E, f_bin.E)
 
@@ -80,13 +81,13 @@ class TestSurrogateValue:
     def test_binary_consistency(self):
         g = generate_er(30, 0.2, 14)
         targets = [1, 5]
-        v_rel = surrogate_value(g.adjacency.astype(float), targets)
+        v_rel = surrogate_value(g.dense(), targets)
         v_bin = surrogate_objective(ego_features(g), targets)
         assert v_rel == pytest.approx(v_bin, abs=1e-10)
 
     def test_empty_targets_zero(self):
         g = generate_er(10, 0.4, 1)
-        assert surrogate_value(g.adjacency.astype(float), []) == 0.0
+        assert surrogate_value(g.dense(), []) == 0.0
 
     def test_independent_forward_oracle(self):
         A = jittered_er(8, 0.6, 5)
@@ -113,7 +114,7 @@ class TestSurrogateValue:
         with pytest.raises(IsolatedTarget, match=r"targets \[3\] are isolated"):
             surrogate_value(A, [0, 3])
         with pytest.raises(IsolatedTarget, match=r"isolated nodes\): \[3\]"):
-            surrogate_objective(ego_features(Graph(A.astype(np.uint8))), [0, 3])
+            surrogate_objective(ego_features(from_dense(A)), [0, 3])
 
 
 class TestForwardSharesTheDetectorFit:
@@ -122,7 +123,7 @@ class TestForwardSharesTheDetectorFit:
     def test_binary_fit_and_prediction_bit_equal(self, seed, n, m):
         g = generate_ba(n, m, seed)
         targets = sorted(rank_top_k(score_graph(g), 3))
-        state = gradients._fit_arrays(g.adjacency.astype(float), targets)
+        state = gradients._fit_arrays(g.dense(), targets)
         feats = ego_features(g)
         fit = fit_ols(feats)
         assert not fit.degenerate
@@ -157,6 +158,15 @@ class TestPreconditions:
                 fn(A.view(NoSquare), targets)
             assert str(info.value) == message
 
+    def test_equal_degrees_with_rounded_spread(self):
+        # on a 25-cycle the mean of the equal ln N rounds off them
+        A = np.zeros((25, 25))
+        A[np.arange(25), (np.arange(25) + 1) % 25] = 1.0
+        A += A.T
+        for fn in (surrogate_value, gradients.surrogate_gradient):
+            with pytest.raises(DegenerateFit, match="all masked ln N equal"):
+                fn(A.view(NoSquare), [0])
+
     def test_guard_sees_matmul(self):
         A = np.zeros((3, 3))
         A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
@@ -177,7 +187,7 @@ class TestSurrogateGradient:
 
     def test_empty_targets_zero_field(self):
         g = generate_er(12, 0.3, 4)
-        G = gradients.surrogate_gradient(g.adjacency.astype(float), [])
+        G = gradients.surrogate_gradient(g.dense(), [])
         assert not G.any()
 
     def test_permutation_equivariance(self):
@@ -203,7 +213,7 @@ class TestSurrogateGradient:
 
 
 def binary_ba(n, m, seed):
-    return generate_ba(n, m, seed).adjacency.astype(float)
+    return generate_ba(n, m, seed).dense()
 
 
 def allocating_gradient(A, targets):
@@ -305,7 +315,7 @@ class TestRuntimeBudget:
         import time
 
         g = generate_er(1000, 0.02, 1)
-        A = g.adjacency.astype(float)
+        A = g.dense()
         targets = [0, 1, 2]
         start = time.perf_counter()
         gradients.surrogate_gradient(A, targets, return_value=True)

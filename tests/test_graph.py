@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +19,13 @@ from gadpoison.graph import (
 )
 
 
-def graph_from_edges(n, edges):
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for u, v in edges:
-        adj[u, v] = adj[v, u] = 1
-    return Graph(adj)
+def from_dense(adj):
+    """The graph of a symmetric 0/1 matrix with a zero diagonal."""
+    return Graph(len(adj), np.argwhere(np.triu(adj, k=1)))
+
+
+def has_edge(graph, i, j):
+    return j in graph.neighbors(i)
 
 
 class TestLoadEdgeList:
@@ -113,29 +118,29 @@ class TestApplyFlips:
         assert apply_flips(g, []) == g
 
     def test_triangle_delete(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         out = apply_flips(g, [EdgeFlip(0, 1, FlipAction.DELETE)])
         assert out.num_edges() == 2
-        assert not out.has_edge(0, 1)
+        assert not has_edge(out, 0, 1)
 
     def test_round_trip_inverse(self):
         g = generate_er(15, 0.3, 2)
-        flips = [EdgeFlip(0, 1, FlipAction.ADD if not g.has_edge(0, 1) else FlipAction.DELETE),
-                 EdgeFlip(2, 5, FlipAction.ADD if not g.has_edge(2, 5) else FlipAction.DELETE)]
+        flips = [EdgeFlip(0, 1, FlipAction.ADD if not has_edge(g, 0, 1) else FlipAction.DELETE),
+                 EdgeFlip(2, 5, FlipAction.ADD if not has_edge(g, 2, 5) else FlipAction.DELETE)]
         poisoned = apply_flips(g, flips)
         undo = {FlipAction.ADD: FlipAction.DELETE, FlipAction.DELETE: FlipAction.ADD}
         restored = apply_flips(poisoned, [EdgeFlip(f.i, f.j, undo[f.action]) for f in reversed(flips)])
         assert restored == g
 
     def test_invalid_flip_reports_index(self):
-        g = graph_from_edges(3, [(0, 1)])
+        g = Graph(3, [(0, 1)])
         with pytest.raises(InvalidFlip, match="#1"):
             apply_flips(g, [EdgeFlip(1, 2, FlipAction.ADD), EdgeFlip(0, 2, FlipAction.DELETE)])
 
     def test_input_graph_unchanged(self):
-        g = graph_from_edges(3, [(0, 1)])
+        g = Graph(3, [(0, 1)])
         apply_flips(g, [EdgeFlip(0, 1, FlipAction.DELETE)])
-        assert g.has_edge(0, 1)
+        assert has_edge(g, 0, 1)
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
@@ -146,10 +151,10 @@ class TestApplyFlips:
         cur = g
         for _ in range(4):
             i, j = sorted(rng.choice(12, size=2, replace=False).tolist())
-            action = FlipAction.DELETE if cur.has_edge(i, j) else FlipAction.ADD
+            action = FlipAction.DELETE if has_edge(cur, i, j) else FlipAction.ADD
             flips.append(EdgeFlip(i, j, action))
             cur = apply_flips(cur, [flips[-1]])
-        adj = cur.adjacency
+        adj = cur.dense()
         assert np.array_equal(adj, adj.T)
         assert np.isin(adj, (0, 1)).all()
         assert np.all(np.diag(adj) == 0)
@@ -157,16 +162,16 @@ class TestApplyFlips:
 
 class TestTriangleDiagonal:
     def test_4_clique(self):
-        g = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert g.triangle_diagonal().tolist() == [6, 6, 6, 6]
 
     def test_tree_zero(self):
-        g = graph_from_edges(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+        g = Graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
         assert g.triangle_diagonal().tolist() == [0] * 5
 
     def test_matches_triple_loop_oracle(self):
         g = generate_er(50, 0.2, 21)
-        A = g.adjacency
+        A = g.dense()
         oracle = np.zeros(50, dtype=int)
         for i in range(50):
             for j in range(50):
@@ -182,23 +187,140 @@ class TestTriangleDiagonal:
 
 
 class TestGraphValidation:
-    @pytest.mark.parametrize("adj, message", [
-        (np.zeros((2, 3)), "square"),
-        (np.array([[0, 1], [0, 0]]), "symmetric"),
-        (np.array([[1, 0], [0, 0]]), "self-loops"),
-        (np.array([[0, 2], [2, 0]]), "0 or 1"),
-        (np.array([[0, -1], [-1, 0]]), "0 or 1"),
-        (np.array([[0.0, 0.5], [0.5, 0.0]]), "0 or 1"),
-        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "symmetric"),
-    ])
-    def test_rejects(self, adj, message):
-        with pytest.raises(ValueError, match=message):
-            Graph(adj)
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 3)], "node ids must lie in [0, 3)"),
+        (3, [(-1, 2)], "node ids must lie in [0, 3)"),
+        (3, [(1, 1)], "self-loops are not allowed"),
+        (3, [(0, 1), (0, 1)], "pair (0, 1) listed twice"),
+        (3, [(0, 1), (2, 1), (1, 0)], "pair (0, 1) listed twice"),
+        (3, [(0, 1, 2)], "edges must be an (m, 2) array of node-id pairs, got shape (1, 3)"),
+        (3, [0, 1], "edges must be an (m, 2) array of node-id pairs, got shape (2,)"),
+        (3, [(0.0, 1.0)], "node ids must be integers, got dtype float64"),
+    ], ids=["out-of-range", "negative", "self-loop", "listed-twice", "listed-reversed",
+            "three-columns", "flat", "float-ids"])
+    def test_rejects(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
 
-    def test_accepts_bool_and_float_01(self):
-        adj = np.array([[0, 1], [1, 0]])
-        for dtype in (bool, float, np.uint8):
-            assert Graph(adj.astype(dtype)).num_edges() == 1
+    def test_accepts_edge_containers(self):
+        edges = [(0, 1), (2, 1)]
+        for container in (edges, np.array(edges, dtype=np.int32), np.array(edges, dtype=np.uint8)):
+            assert Graph(3, container).edges() == [(0, 1), (1, 2)]
+        for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+            assert Graph(3, empty).num_edges() == 0
+
+
+def dense_oracle(n, edges):
+    """The symmetric 0/1 adjacency matrix of an edge list."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return adj
+
+
+@st.composite
+def graphs_and_flips(draw):
+    """A node count, an edge list (each pair once, random order and
+    orientation) and a flip sequence valid against it."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+    present = set(chosen)
+    flips = []
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []:
+        action = FlipAction.DELETE if (i, j) in present else FlipAction.ADD
+        present ^= {(i, j)}
+        flips.append(EdgeFlip(i, j, action))
+    return n, edges, flips
+
+
+class TestGraphAgainstDenseOracle:
+    @given(case=graphs_and_flips())
+    @settings(max_examples=200, deadline=None)
+    def test_queries_match(self, case):
+        n, edges, _ = case
+        g = Graph(n, edges)
+        A = dense_oracle(n, edges)
+        assert np.array_equal(g.dense(), A)
+        assert g.dense().dtype == np.float64
+        assert np.array_equal(g.degrees(), A.sum(axis=1))
+        assert np.array_equal(g.triangle_diagonal(), np.diag(A @ A @ A))
+        assert g.edges() == [tuple(e) for e in np.argwhere(np.triu(A, k=1)).tolist()]
+        assert g.num_edges() == len(edges)
+        for i in range(n):
+            assert g.neighbors(i).tolist() == np.flatnonzero(A[i]).tolist()
+        assert g == Graph(n, edges[::-1]) == from_dense(A)
+        assert g != Graph(n + 1, edges)
+        if edges:
+            assert g != Graph(n, edges[1:])
+
+    @given(case=graphs_and_flips())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_flips_toggles(self, case):
+        n, edges, flips = case
+        A = dense_oracle(n, edges)
+        for f in flips:
+            A[f.i, f.j] = A[f.j, f.i] = 1 - A[f.i, f.j]
+        assert np.array_equal(apply_flips(Graph(n, edges), flips).dense(), A)
+
+
+# one line of an edge-list file: fields drawn from valid and invalid tokens
+ID_TOKENS = ["0", "1", "2", "3", "07", "12", "100", "-1", "1.5", "x"]
+WEIGHT_TOKENS = ["1", "2.5", "0", "-3", "1e-3", "nan", "w"]
+LINES = st.one_of(
+    st.sampled_from(["", "   ", "# comment", "  # 1 2", "#"]),
+    st.tuples(st.sampled_from(ID_TOKENS), st.sampled_from(ID_TOKENS),
+              st.lists(st.sampled_from(WEIGHT_TOKENS), max_size=2),
+              st.sampled_from([" ", "\t", "  "])).map(lambda t: t[3].join([t[0], t[1], *t[2]])),
+    st.lists(st.sampled_from(ID_TOKENS), min_size=1, max_size=1).map(" ".join),
+)
+
+
+def reference_parse(lines, drop_nonpositive_weights):
+    """Independent reading of an edge list: ("malformed", line number),
+    ("empty",) or (node count, sorted compacted edges)."""
+    pairs = set()
+    for line_no, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) not in (2, 3):
+            return ("malformed", line_no)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+            w = float(fields[2]) if len(fields) == 3 and drop_nonpositive_weights else 1.0
+        except ValueError:
+            return ("malformed", line_no)
+        if u < 0 or v < 0:
+            return ("malformed", line_no)
+        if not w <= 0 and u != v:  # a NaN weight is not <= 0, so its line stays
+            pairs.add((min(u, v), max(u, v)))
+    if not pairs:
+        return ("empty",)
+    new_id = {orig: k for k, orig in enumerate(sorted({x for p in pairs for x in p}))}
+    return len(new_id), sorted((new_id[u], new_id[v]) for u, v in pairs)
+
+
+class TestLoadEdgeListFuzz:
+    @given(lines=st.lists(LINES, max_size=12), drop=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_parse(self, lines, drop):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "g.txt"
+            path.write_text("\n".join(lines) + "\n")
+            expected = reference_parse(lines, drop)
+            if expected[0] == "malformed":
+                with pytest.raises(MalformedEdgeList) as info:
+                    load_edge_list(path, drop_nonpositive_weights=drop)
+                assert info.value.line_no == expected[1]
+            elif expected[0] == "empty":
+                with pytest.raises(EmptyGraph):
+                    load_edge_list(path, drop_nonpositive_weights=drop)
+            else:
+                g = load_edge_list(path, drop_nonpositive_weights=drop)
+                assert (g.n, g.edges()) == expected
 
 
 class TestCachedCounts:
@@ -214,4 +336,4 @@ class TestCachedCounts:
         g = generate_er(20, 0.3, 4)
         d = g.degrees()
         d[0] += 5
-        assert np.array_equal(g.degrees(), g.adjacency.sum(axis=1))
+        assert np.array_equal(g.degrees(), g.dense().sum(axis=1))

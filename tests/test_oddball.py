@@ -19,11 +19,11 @@ from gadpoison.oddball import (
     score_graph,
     surrogate_objective,
 )
-from test_graph import graph_from_edges
+from test_graph import from_dense
 
 
 def star(n_leaves):
-    return graph_from_edges(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+    return Graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
 
 
 def egonet_oracle(graph):
@@ -33,7 +33,7 @@ def egonet_oracle(graph):
     for i in range(graph.n):
         members = sorted(set(graph.neighbors(i).tolist()) | {i})
         N[i] = len(members) - 1
-        sub = graph.adjacency[np.ix_(members, members)]
+        sub = graph.dense()[np.ix_(members, members)]
         E[i] = sub.sum() / 2
     return N, E
 
@@ -45,7 +45,7 @@ class TestEgoFeatures:
         assert f.E.tolist() == [4, 1, 1, 1, 1]
 
     def test_4_clique(self):
-        g = graph_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         f = ego_features(g)
         assert f.N.tolist() == [3] * 4
         assert f.E.tolist() == [6] * 4
@@ -98,26 +98,39 @@ class TestFitOls:
 
     def test_degenerate_regular_graph(self):
         # 2-regular cycle: all ln N equal
-        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         fit = fit_ols(ego_features(g))
         assert fit.degenerate
         assert fit.beta1 == 0.0
         assert fit.beta0 == pytest.approx(np.log(2.0))
+
+    @pytest.mark.parametrize("n", [5, 25])
+    def test_degenerate_cycle(self, n):
+        # equal ln N whose rounded mean leaves a nonzero spread (n = 25)
+        # must still count as degenerate, not fit a slope of 1.0
+        fit = fit_ols(ego_features(Graph(n, [(i, (i + 1) % n) for i in range(n)])))
+        assert fit.degenerate and fit.beta1 == 0.0
+
+    def test_degenerate_equal_degrees_varied_edges(self):
+        N = np.full(30, 3.0)
+        fit = fit_ols(EgoFeatures(N=N, E=N + np.arange(30) % 3))
+        assert fit.degenerate and fit.beta1 == 0.0
 
     def test_too_few_nodes(self):
         with pytest.raises(DegenerateFit):
             fit_ols(EgoFeatures(N=np.array([2.0, 0.0]), E=np.array([2.0, 0.0])))
 
     def test_isolated_nodes_excluded(self):
-        g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2)])  # nodes 3,4 isolated
+        g = Graph(5, [(0, 1), (1, 2), (0, 2)])  # nodes 3,4 isolated
         fit = fit_ols(ego_features(g))
         assert set(fit.fit_mask.tolist()) == {0, 1, 2}
 
 
 def unweighted_line(x, y):
-    """The plain least-squares line as written before weights were shared."""
+    """The plain least-squares line as written before weights were shared,
+    undefined when all x are equal or their spread underflows."""
     sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
+    if sxx == 0.0 or x.min() == x.max():
         return None
     beta1 = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     return float(y.mean() - beta1 * x.mean()), beta1
@@ -139,6 +152,8 @@ class TestLineFit:
         beta0, beta1 = _line_fit(x, y, np.array([1.0, 1.0, 0.0, 1.0]))
         assert beta0 == pytest.approx(1.0) and beta1 == pytest.approx(2.0)
         assert _line_fit(x, y, np.array([0.0, 0.0, 1.0, 0.0])) is None
+        # the x of positive weight are all equal
+        assert _line_fit(np.array([0.4, 0.4, 0.4, 9.0]), y, np.array([0.5, 1.0, 2.0, 0.0])) is None
 
 
 class TestAnomalyScores:
@@ -160,7 +175,7 @@ class TestAnomalyScores:
         assert s == pytest.approx(2.772589, abs=1e-6)
 
     def test_nonnegative_and_isolated_zero(self):
-        g = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])  # node 5 isolated
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])  # node 5 isolated
         report = score_graph(g)
         assert np.all(report.scores >= 0)
         assert report.scores[5] == 0.0
@@ -168,7 +183,7 @@ class TestAnomalyScores:
     def test_relabel_invariance(self):
         g = generate_er(25, 0.25, 5)
         perm = np.random.default_rng(4).permutation(25)
-        relabeled = Graph(g.adjacency[np.ix_(perm, perm)])
+        relabeled = from_dense(g.dense()[np.ix_(perm, perm)])
         s_orig = score_graph(g).scores
         s_relabeled = score_graph(relabeled).scores
         assert np.allclose(s_orig[perm], s_relabeled, atol=1e-9)
@@ -230,7 +245,7 @@ class TestRankTopK:
 def random_flips(graph, rng, count, invalid_at=None):
     """``count`` flips on random pairs, each valid against the state the
     earlier ones leave, except flip #invalid_at, which is made invalid."""
-    adj = graph.adjacency.copy()
+    adj = graph.dense()
     flips = []
     for k in range(count):
         i, j = sorted(rng.choice(graph.n, size=2, replace=False).tolist())
@@ -270,14 +285,14 @@ class TestEgoFeaturesWithFlips:
         assert str(rebuilt.value) == str(counted.value)
 
     def test_pair_outside_graph(self):
-        g = graph_from_edges(3, [(0, 1)])
+        g = Graph(3, [(0, 1)])
         flips = [EdgeFlip(1, 2, FlipAction.ADD), EdgeFlip(0, 3, FlipAction.ADD)]
         for fn in (apply_flips, ego_features):
             with pytest.raises(InvalidFlip, match="#1"):
                 fn(g, flips)
 
     def test_closing_triangle_leaves_graph_unchanged(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         closed = ego_features(g, [EdgeFlip(0, 2, FlipAction.ADD)])
         assert closed.E.tolist() == [3.0, 3.0, 3.0]  # N = 2, diag(A^3) = 2 per node
         assert ego_features(g).E.tolist() == [1.0, 2.0, 1.0]

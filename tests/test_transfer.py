@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gadpoison.errors import EmptyTargets
-from gadpoison.graph import generate_ba, generate_er, plant_clique
+from gadpoison.graph import Graph, generate_ba, generate_er, plant_clique
 from gadpoison.transfer import (
     Classifier,
     Embedding,
@@ -18,7 +18,6 @@ from gadpoison.transfer import (
     refex_embed,
     train_classifier,
 )
-from test_graph import graph_from_edges
 
 
 def auc_trapezoid(labels, scores):
@@ -40,7 +39,7 @@ def auc_trapezoid(labels, scores):
 
 
 def cycle(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestRefexEmbed:
@@ -49,7 +48,7 @@ class TestRefexEmbed:
         assert np.all(emb.matrix == emb.matrix[0])
 
     def test_star_separates_center(self):
-        g = graph_from_edges(9, [(0, i) for i in range(1, 9)])
+        g = Graph(9, [(0, i) for i in range(1, 9)])
         emb = refex_embed(g, RefexConfig(recursion_depth=0, bins=2))
         assert not np.array_equal(emb.matrix[0], emb.matrix[1])
 
