@@ -35,7 +35,6 @@ from .transfer import (
     PipelineConfig,
     RefexConfig,
     TransferReport,
-    evaluate_transfer,
     identify_targets,
     make_labeled_split,
     refex_embed,

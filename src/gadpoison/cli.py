@@ -185,22 +185,23 @@ def cmd_permtest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gadpoison",
+    # flags match only in full: the config merge below reads full spellings
+    parser = argparse.ArgumentParser(prog="gadpoison", allow_abbrev=False,
                                      description="egonet anomaly detection and structural poisoning toolkit")
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("generate", help="write a synthetic graph as an edge list")
+    p = subs.add_parser("generate", allow_abbrev=False, help="write a synthetic graph as an edge list")
     _add_input_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = subs.add_parser("score", help="write the per-node anomaly report CSV")
+    p = subs.add_parser("score", allow_abbrev=False, help="write the per-node anomaly report CSV")
     _add_input_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = subs.add_parser("attack", help="run a poisoning attack sweep")
+    p = subs.add_parser("attack", allow_abbrev=False, help="run a poisoning attack sweep")
     _add_input_flags(p)
     p.add_argument("--attack", choices=sorted(attacks.ATTACKS), required=True)
     p.add_argument("--budget", type=int, required=True)
@@ -216,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_attack)
 
-    p = subs.add_parser("defend", help="compare OLS/Huber/RANSAC rescoring on a plan")
+    p = subs.add_parser("defend", allow_abbrev=False, help="compare OLS/Huber/RANSAC rescoring on a plan")
     _add_input_flags(p)
     p.add_argument("--plan", required=True, help="plan JSON from the attack command")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_defend)
 
-    p = subs.add_parser("transfer", help="black-box transfer attack evaluation")
+    p = subs.add_parser("transfer", allow_abbrev=False, help="black-box transfer attack evaluation")
     _add_input_flags(p)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--depth", type=int, default=2)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer)
 
-    p = subs.add_parser("permtest", help="two-sample permutation test")
+    p = subs.add_parser("permtest", allow_abbrev=False, help="two-sample permutation test")
     p.add_argument("file_x")
     p.add_argument("file_y")
     p.add_argument("--column", choices=["N", "E", "score"], help="column when inputs are report CSVs")

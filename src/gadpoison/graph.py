@@ -209,8 +209,8 @@ def load_edge_list(path, drop_nonpositive_weights: bool = False) -> Graph:
 
     Node ids are compacted to 0..n-1 in ascending original order.
     Duplicate and reversed edges are merged, self-loops dropped. With
-    ``drop_nonpositive_weights``, lines whose weight w <= 0 are removed
-    and surviving weights erased.
+    ``drop_nonpositive_weights``, lines whose weight w <= 0 are removed,
+    a non-finite weight is malformed, and surviving weights are erased.
     """
     pairs = set()
     ids = set()
@@ -233,6 +233,8 @@ def load_edge_list(path, drop_nonpositive_weights: bool = False) -> Graph:
                     w = float(parts[2])
                 except ValueError:
                     raise MalformedEdgeList(path, line_no, "weight must be numeric") from None
+                if not np.isfinite(w):
+                    raise MalformedEdgeList(path, line_no, "weight must be a finite number")
                 if w <= 0:
                     continue
             if u == v:

@@ -1,18 +1,19 @@
-"""Black-box transfer evaluation: recursive structural embeddings fed to
-a small feed-forward classifier, with soft-label and AUC/F1 metrics.
+"""Black-box transfer evaluation: ReFeX embeddings (Henderson et al.,
+KDD 2011) fed to a small feed-forward classifier, with soft-label and
+AUC/F1 metrics.
 
-The pipeline has four stages: label nodes from detector scores on the
-clean graph, identify attack targets as the test nodes the classifier
-flags as anomalous, poison the graph against those targets, and re-run
-embedding + training on the poisoned graph with labels and split frozen
-from the clean run.
+``run_transfer_attack`` is the one protocol. It labels the top OddBall
+scorers of the clean graph anomalous and splits the nodes, trains on the
+clean embedding and takes as targets the test nodes the classifier flags,
+poisons the graph against those targets with BinarizedAttack, and retrains
+on the poisoned embedding with labels and split frozen from the clean run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,13 +24,14 @@ from .graph import Graph, apply_flips, derive_rng
 
 # -- recursive structural embedding --------------------------------------
 
+BIN_FRACTION = 0.5  # top fraction of values captured by the first bin
+
 
 @dataclass(frozen=True)
 class RefexConfig:
     recursion_depth: int = 2
     bins: int = 4
     prune_corr: float = 0.95
-    bin_fraction: float = 0.5  # top fraction captured by the first bin
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,20 @@ def _is_redundant(candidate: np.ndarray, retained: list[np.ndarray], threshold: 
     return False
 
 
-def _log_bin(column: np.ndarray, bins: int, p: float) -> np.ndarray:
+def _log_bin(column: np.ndarray, bins: int) -> np.ndarray:
     """Vertical logarithmic binning into one-hot indicator columns.
 
-    Bin t captures the top fraction p*(1-p)^t of values by descending
-    rank; the last bin takes the remainder. Tied values share a bin, so
-    binning is monotone in the feature value.
+    With p = BIN_FRACTION, bin t captures the top fraction p*(1-p)^t of
+    values by descending rank; the last bin takes the remainder. Tied
+    values share a bin, so binning is monotone in the feature value.
     """
     n = len(column)
     # cumulative counts at bin boundaries
-    cuts = [max(1, int(round((1.0 - (1.0 - p) ** (t + 1)) * n))) for t in range(bins - 1)]
-    order = np.argsort(-column, kind="stable")
-    tentative = np.empty(n, dtype=int)
-    tentative[order] = np.searchsorted(cuts, np.arange(n), side="right")
-    # tied values all take the bin of their last occurrence, so a value
-    # enters an upper bin only if the whole tie group fits above the cut
-    bin_of = {}
-    for idx in order:
-        bin_of[column[idx]] = tentative[idx]
-    assigned = np.array([bin_of[v] for v in column])
+    cuts = [max(1, int(round((1.0 - (1.0 - BIN_FRACTION) ** (t + 1)) * n))) for t in range(bins - 1)]
+    # a tie group takes the bin of its last descending rank, n - 1 - #(values
+    # below it), so a value enters an upper bin only if the whole group fits
+    last_rank = n - 1 - np.searchsorted(np.sort(column), column, side="left")
+    assigned = np.searchsorted(cuts, last_rank, side="right")
     onehot = np.zeros((n, bins), dtype=np.uint8)
     onehot[np.arange(n), assigned] = 1
     return onehot
@@ -116,11 +113,13 @@ def refex_embed(graph: Graph, config: RefexConfig = RefexConfig()) -> Embedding:
         prev_level = new_level
         if not prev_level:
             break
-    blocks = [_log_bin(col, config.bins, config.bin_fraction) for col in retained]
+    blocks = [_log_bin(col, config.bins) for col in retained]
     return Embedding(matrix=np.concatenate(blocks, axis=1), feature_names=tuple(names))
 
 
 # -- labeling and classification -----------------------------------------
+
+HIDDEN = (32, 16)  # MLP hidden layer widths
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,6 @@ class LabeledSplit:
     labels: np.ndarray  # per-node 0/1
     train_ids: np.ndarray
     test_ids: np.ndarray
-    anomaly_fraction: float
-    seed: int
 
 
 def make_labeled_split(graph: Graph, anomaly_fraction: float, test_fraction: float, seed: int) -> LabeledSplit:
@@ -148,10 +145,17 @@ def make_labeled_split(graph: Graph, anomaly_fraction: float, test_fraction: flo
         n_test = int(round(test_fraction * len(ids)))
         test.extend(perm[:n_test].tolist())
         train.extend(perm[n_test:].tolist())
-    return LabeledSplit(
-        labels=labels, train_ids=np.array(sorted(train)), test_ids=np.array(sorted(test)),
-        anomaly_fraction=anomaly_fraction, seed=seed,
-    )
+    return LabeledSplit(labels=labels, train_ids=np.array(sorted(train)), test_ids=np.array(sorted(test)))
+
+
+def _forward(weights, biases, X: np.ndarray):
+    """MLP forward pass: the activations of every layer but the last (X
+    first, then each ReLU output) and the sigmoid output per row."""
+    acts = [X]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    z = (acts[-1] @ weights[-1] + biases[-1]).ravel()
+    return acts, 1.0 / (1.0 + np.exp(-z))
 
 
 class Classifier:
@@ -162,21 +166,16 @@ class Classifier:
         self.biases = biases
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        h = X.astype(float)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-        z = h @ self.weights[-1] + self.biases[-1]
-        return 1.0 / (1.0 + np.exp(-z)).ravel()
+        return _forward(self.weights, self.biases, X.astype(float))[1]
 
 
 def train_classifier(embedding: Embedding, split: LabeledSplit,
-                     hidden=(32, 16), epochs: int = 300, lr: float = 0.01,
-                     seed: int = 0) -> Classifier:
+                     epochs: int = 300, lr: float = 0.01, seed: int = 0) -> Classifier:
     """Train on the train split with seeded initialization and binary
     cross-entropy; raises if the loss turns non-finite."""
     X = embedding.matrix[split.train_ids].astype(float)
     y = split.labels[split.train_ids].astype(float)
-    dims = [embedding.width, *hidden, 1]
+    dims = [embedding.width, *HIDDEN, 1]
     rng = derive_rng(seed, "mlp-init")
     weights = [rng.normal(0.0, math.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
                for i in range(len(dims) - 1)]
@@ -184,14 +183,7 @@ def train_classifier(embedding: Embedding, split: LabeledSplit,
 
     m = len(y)
     for _ in range(epochs):
-        # forward
-        acts = [X]
-        h = X
-        for W, b in zip(weights[:-1], biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-            acts.append(h)
-        z = (h @ weights[-1] + biases[-1]).ravel()
-        prob = 1.0 / (1.0 + np.exp(-z))
+        acts, prob = _forward(weights, biases, X)
         eps = 1e-12
         loss = -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
         if not np.isfinite(loss):
@@ -233,16 +225,10 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     n1, n0 = int(pos.sum()), int((~pos).sum())
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores)
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group over sorted positions i..j takes the midrank (i + j) / 2 + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends - counts + ends - 1) + 1.0)[group]
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
@@ -265,7 +251,6 @@ class PipelineConfig:
     refex: RefexConfig = RefexConfig()
     anomaly_fraction: float = 0.1
     test_fraction: float = 0.3
-    hidden: tuple[int, ...] = (32, 16)
     epochs: int = 300
     lr: float = 0.01
     seed: int = 0
@@ -283,17 +268,7 @@ class TransferReport:
     targets: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "auc_clean": self.auc_clean,
-            "f1_clean": self.f1_clean,
-            "auc_poisoned": self.auc_poisoned,
-            "f1_poisoned": self.f1_poisoned,
-            "soft_label_sum_clean": self.soft_label_sum_clean,
-            "soft_label_sum_poisoned": self.soft_label_sum_poisoned,
-            "delta_b": self.delta_b,
-            "targets": list(self.targets),
-        }
+        return {"schema_version": 1, **asdict(self), "targets": list(self.targets)}
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -302,8 +277,7 @@ class TransferReport:
 
 def _run_once(graph: Graph, split: LabeledSplit, config: PipelineConfig):
     emb = refex_embed(graph, config.refex)
-    clf = train_classifier(emb, split, hidden=config.hidden,
-                           epochs=config.epochs, lr=config.lr, seed=config.seed)
+    clf = train_classifier(emb, split, epochs=config.epochs, lr=config.lr, seed=config.seed)
     probs = clf.predict_proba(emb.matrix)
     return emb, clf, probs
 
@@ -323,24 +297,6 @@ def _report(split: LabeledSplit, probs0: np.ndarray, probs1: np.ndarray, targets
         delta_b=(sl0 - slb) / sl0 if sl0 > 0 else math.nan,
         targets=tuple(int(t) for t in tgt),
     )
-
-
-def evaluate_transfer(clean: Graph, poisoned: Graph, config: PipelineConfig,
-                      split: LabeledSplit | None = None,
-                      targets: list[int] | None = None) -> TransferReport:
-    """Run the pipeline on the clean and poisoned graphs separately.
-
-    Labels and the train/test split come from the clean graph and are
-    frozen; the classifier is retrained per input graph. The target set,
-    if not supplied, is the clean classifier's anomalous test nodes.
-    """
-    if split is None:
-        split = make_labeled_split(clean, config.anomaly_fraction, config.test_fraction, config.seed)
-    emb0, clf0, probs0 = _run_once(clean, split, config)
-    if targets is None:
-        targets = identify_targets(clf0, emb0, split)
-    _, _, probs1 = _run_once(poisoned, split, config)
-    return _report(split, probs0, probs1, targets)
 
 
 def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig,

@@ -376,6 +376,31 @@ class TestConfigFile:
         assert args.lam == [0.5]
         assert args.n == 25
 
+    def test_abbreviated_config_flag_rejected(self, tmp_path, capsys):
+        # argparse would expand --conf to --config, which the merge never reads;
+        # the space form fails on the path read as the subcommand
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": "er", "n": 40}))
+        out = tmp_path / "report.csv"
+        for argv, reason in (([f"--conf={cfg}", "score", "--out", str(out)], "unrecognized arguments"),
+                             (["--conf", str(cfg), "score", "--out", str(out)], "invalid choice")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--la", "0.5"], ["--la=0.5"]])
+    def test_abbreviated_flag_does_not_extend_config_list(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": [0.1]}))
+        argv = ["--config", str(cfg), "attack", "--gen", "er", "--attack", "binarized",
+                "--budget", "1", "--out", str(tmp_path / "x"), *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --la" in capsys.readouterr().err
+
 
 # attack flags with their argparse dest, a value strategy and the parser default
 MERGE_FLAGS = {

@@ -43,6 +43,14 @@ class TestLoadEdgeList:
         assert g.n == 2
         assert g.num_edges() == 1
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 5\n1 2 {weight}\n")
+        with pytest.raises(MalformedEdgeList, match=":2: weight must be a finite number") as info:
+            load_edge_list(path, drop_nonpositive_weights=True)
+        assert info.value.line_no == 2
+
     def test_weights_kept_without_directive(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1 5\n0 2 -3\n")
@@ -268,7 +276,7 @@ class TestGraphAgainstDenseOracle:
 
 # one line of an edge-list file: fields drawn from valid and invalid tokens
 ID_TOKENS = ["0", "1", "2", "3", "07", "12", "100", "-1", "1.5", "x"]
-WEIGHT_TOKENS = ["1", "2.5", "0", "-3", "1e-3", "nan", "w"]
+WEIGHT_TOKENS = ["1", "2.5", "0", "-3", "1e-3", "nan", "inf", "-inf", "w"]
 LINES = st.one_of(
     st.sampled_from(["", "   ", "# comment", "  # 1 2", "#"]),
     st.tuples(st.sampled_from(ID_TOKENS), st.sampled_from(ID_TOKENS),
@@ -293,9 +301,9 @@ def reference_parse(lines, drop_nonpositive_weights):
             w = float(fields[2]) if len(fields) == 3 and drop_nonpositive_weights else 1.0
         except ValueError:
             return ("malformed", line_no)
-        if u < 0 or v < 0:
+        if u < 0 or v < 0 or w in (float("inf"), float("-inf")) or w != w:
             return ("malformed", line_no)
-        if not w <= 0 and u != v:  # a NaN weight is not <= 0, so its line stays
+        if w > 0 and u != v:
             pairs.add((min(u, v), max(u, v)))
     if not pairs:
         return ("empty",)

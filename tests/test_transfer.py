@@ -1,17 +1,23 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadpoison.errors import EmptyTargets
 from gadpoison.graph import Graph, generate_ba, generate_er, plant_clique
 from gadpoison.transfer import (
     Classifier,
     Embedding,
+    LabeledSplit,
     PipelineConfig,
     RefexConfig,
     _log_bin,
     _neighbor_aggregates,
+    _report,
+    _run_once,
     auc_rank,
-    evaluate_transfer,
     f1_score,
     identify_targets,
     make_labeled_split,
@@ -35,7 +41,55 @@ def auc_trapezoid(labels, scores):
         pred = scores >= th
         tpr.append(float((pred & (labels == 1)).sum()) / n1)
         fpr.append(float((pred & (labels == 0)).sum()) / n0)
-    return float(np.trapezoid(tpr, fpr))
+    return sum((fpr[k + 1] - fpr[k]) * (tpr[k + 1] + tpr[k]) / 2 for k in range(len(tpr) - 1))
+
+
+def auc_rank_loop(labels, scores):
+    """Mann-Whitney AUC with midranks found by walking each tie group:
+    the exact oracle for auc_rank."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    pos = labels == 1
+    n1, n0 = int(pos.sum()), int((~pos).sum())
+    order = np.argsort(scores)
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
+
+
+def log_bin_loop(column, bins, p=0.5):
+    """Logarithmic binning where a dict maps each value to the bin of its
+    last descending rank: the exact oracle for _log_bin."""
+    n = len(column)
+    cuts = [max(1, int(round((1.0 - (1.0 - p) ** (t + 1)) * n))) for t in range(bins - 1)]
+    order = np.argsort(-column, kind="stable")
+    tentative = np.empty(n, dtype=int)
+    tentative[order] = np.searchsorted(cuts, np.arange(n), side="right")
+    bin_of = {}
+    for idx in order:
+        bin_of[column[idx]] = tentative[idx]
+    assigned = np.array([bin_of[v] for v in column])
+    onehot = np.zeros((n, bins), dtype=np.uint8)
+    onehot[np.arange(n), assigned] = 1
+    return onehot
+
+
+def evaluate_transfer(clean, poisoned, config):
+    """The transfer protocol with the poisoned graph given instead of
+    attacked: split and targets from the clean run, classifier retrained
+    on each graph."""
+    split = make_labeled_split(clean, config.anomaly_fraction, config.test_fraction, config.seed)
+    emb0, clf0, probs0 = _run_once(clean, split, config)
+    targets = identify_targets(clf0, emb0, split)
+    _, _, probs1 = _run_once(poisoned, split, config)
+    return _report(split, probs0, probs1, targets)
 
 
 def cycle(n):
@@ -82,7 +136,7 @@ class TestRefexEmbed:
 class TestLogBinning:
     def test_monotone_with_ties(self):
         col = np.array([5.0, 3.0, 3.0, 1.0, 9.0, 1.0])
-        onehot = _log_bin(col, bins=3, p=0.5)
+        onehot = _log_bin(col, bins=3)
         assigned = onehot.argmax(axis=1)
         for u in range(len(col)):
             for v in range(len(col)):
@@ -93,14 +147,21 @@ class TestLogBinning:
 
     def test_one_hot(self):
         col = np.arange(20.0)
-        onehot = _log_bin(col, bins=4, p=0.5)
+        onehot = _log_bin(col, bins=4)
         assert np.all(onehot.sum(axis=1) == 1)
 
     def test_top_bin_holds_top_half(self):
         col = np.arange(16.0)
-        onehot = _log_bin(col, bins=2, p=0.5)
+        onehot = _log_bin(col, bins=2)
         top = np.flatnonzero(onehot[:, 0])
         assert set(top) == set(range(8, 16))
+
+    @given(values=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0, 7.0]), min_size=1, max_size=60),
+           bins=st.integers(2, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dict_oracle(self, values, bins):
+        col = np.array(values)
+        assert np.array_equal(_log_bin(col, bins), log_bin_loop(col, bins))
 
 
 class TestLabeledSplit:
@@ -135,10 +196,8 @@ def toy_embedding_and_split(n=200, seed=0):
     labels = matrix[:, 0].copy()
     emb = Embedding(matrix=matrix, feature_names=tuple(f"f{i}" for i in range(8)))
     ids = rng.permutation(n)
-    from gadpoison.transfer import LabeledSplit
-
     split = LabeledSplit(labels=labels, train_ids=np.sort(ids[: int(0.7 * n)]),
-                         test_ids=np.sort(ids[int(0.7 * n):]), anomaly_fraction=0.5, seed=seed)
+                         test_ids=np.sort(ids[int(0.7 * n):]))
     return emb, split
 
 
@@ -164,6 +223,17 @@ class TestClassifier:
         for w1, w2 in zip(c1.weights, c2.weights):
             assert np.array_equal(w1, w2)
         assert np.array_equal(c1.predict_proba(emb.matrix), c2.predict_proba(emb.matrix))
+
+    def test_predict_proba_equals_explicit_forward(self):
+        emb, split = toy_embedding_and_split()
+        clf = train_classifier(emb, split, epochs=20, lr=0.1, seed=6)
+        assert [W.shape for W in clf.weights] == [(emb.width, 32), (32, 16), (16, 1)]
+        (W1, W2, W3), (b1, b2, b3) = clf.weights, clf.biases
+        X = emb.matrix.astype(float)
+        h1 = np.maximum(X @ W1 + b1, 0.0)
+        h2 = np.maximum(h1 @ W2 + b2, 0.0)
+        expected = 1.0 / (1.0 + np.exp(-(h2 @ W3 + b3)[:, 0]))
+        assert np.array_equal(clf.predict_proba(emb.matrix), expected)
 
 
 class TestIdentifyTargets:
@@ -208,6 +278,16 @@ class TestMetrics:
         scores = np.array([0.1, 0.2, 0.8, 0.9])
         assert auc_rank(labels, scores) == 1.0
 
+    @given(values=st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.5, 0.5 + 1e-9, 0.9, 1.0]),
+                                     st.integers(0, 1)), min_size=2, max_size=60),
+           forced=st.permutations([0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_midrank_loop_oracle(self, values, forced):
+        scores = np.array([v for v, _ in values])
+        labels = np.array([lbl for _, lbl in values])
+        labels[:2] = forced  # both classes present
+        assert auc_rank(labels, scores) == auc_rank_loop(labels, scores)
+
     def test_f1(self):
         labels = np.array([1, 1, 0, 0])
         probs = np.array([0.9, 0.2, 0.8, 0.1])
@@ -235,8 +315,6 @@ class TestEvaluateTransfer:
         report = evaluate_transfer(planted_graph, planted_graph, cfg)
         path = tmp_path / "report.json"
         report.save_json(path)
-        import json
-
         loaded = json.loads(path.read_text())
         assert loaded["schema_version"] == 1
         assert loaded["delta_b"] == report.delta_b
