@@ -2,7 +2,7 @@
 robust-regression defenses, and black-box transfer evaluation."""
 
 from .attacks import AttackConfig, PerturbationPlan, binarized_attack, continuous_a, grad_max_search, tau_as
-from .defense import RobustConfig, fit_huber, fit_ransac, rescore_features, robust_rescore
+from .defense import fit_huber, fit_ransac, rescore_features, robust_rescore
 from .graph import (
     EdgeFlip,
     FlipAction,
@@ -13,7 +13,6 @@ from .graph import (
     generate_ba,
     generate_er,
     load_edge_list,
-    plant_clique,
     save_edge_list,
 )
 from .oddball import (

@@ -43,11 +43,29 @@ class AttackConfig:
             raise ValueError("budget_max must be >= 0")
         if not self.targets:
             raise ValueError("target set must be nonempty")
-        repeated = sorted({t for t in self.targets if self.targets.count(t) > 1})
-        if repeated:
-            raise ValueError(f"target ids {repeated} repeat")
+        _check_distinct(self.targets)
         if not (self.allow_add or self.allow_delete):
             raise ValueError("at least one of allow_add/allow_delete required")
+        if self.iters < 0:
+            raise ValueError(f"iters must be >= 0, got {self.iters}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
+            raise ValueError(f"every lambda must be finite and >= 0, got {list(self.lambdas)}")
+
+
+def _check_distinct(targets) -> None:
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise ValueError(f"target ids {repeated} repeat")
+
+
+def check_targets(targets, n: int) -> None:
+    """Reject target ids that repeat or that are not nodes of an n-node graph."""
+    _check_distinct(targets)
+    outside = [t for t in targets if not 0 <= t < n]
+    if outside:
+        raise ValueError(f"targets {outside} out of range for a graph of {n} nodes")
 
 
 @dataclass
@@ -112,14 +130,13 @@ class PerturbationPlan:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
 
-    def save_csv(self, path, num_edges: int | None = None) -> None:
+    def save_csv(self, path, num_edges: int) -> None:
         """Per-budget rows: budget, attack_power, S_T, tau_as."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["budget", "attack_power", "S_T", "tau_as"])
             for b in range(len(self.score_trace)):
-                power = b / num_edges if num_edges else ""
-                writer.writerow([b, power, self.score_trace[b], self.tau_trace[b]])
+                writer.writerow([b, b / num_edges, self.score_trace[b], self.tau_trace[b]])
 
 
 def tau_as(clean: oddball.AnomalyReport, poisoned: oddball.AnomalyReport, targets) -> float:
@@ -174,12 +191,8 @@ def _pair_space(graph: Graph, config: AttackConfig):
     move (+1 adds, -1 deletes) and whether the config forbids that move.
     a0 and sign_p are uint8 and int8, so the vectors beyond the two index
     arrays take 3 bytes per pair.
-
-    Checks first that every target is a node of ``graph``.
     """
-    outside = [t for t in config.targets if not 0 <= t < graph.n]
-    if outside:
-        raise ValueError(f"targets {outside} out of range for a graph of {graph.n} nodes")
+    check_targets(config.targets, graph.n)
     iu, ju = np.triu_indices(graph.n, k=1)
     a0 = np.zeros(len(iu), dtype=np.uint8)
     u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
@@ -221,7 +234,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     work = gradients.gradient_workspace(graph.n)
 
     for _ in range(config.budget_max):
-        G = gradients.surrogate_gradient(adj, config.targets, work=work)
+        G, _ = gradients.surrogate_gradient(adj, config.targets, work)
         # adding a non-edge needs a negative gradient, deleting an edge a positive one
         g = G[iu, ju]
         g *= sign_p
@@ -268,7 +281,7 @@ def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
     work = gradients.gradient_workspace(n)
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(A, config.targets, return_value=True, work=work)
+            G, val = gradients.surrogate_gradient(A, config.targets, work)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
             # last valid point rather than silently repairing the descent
@@ -361,7 +374,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 
     def pair_gradient(A: np.ndarray, work) -> tuple[np.ndarray | None, float]:
         try:
-            G, surr = gradients.surrogate_gradient(A, config.targets, return_value=True, work=work)
+            G, surr = gradients.surrogate_gradient(A, config.targets, work)
         except (IsolatedTarget, DegenerateFit, NodeVanished):
             # flip pattern isolated a target; mark the snapshot unusable
             # and let the penalty pull the soft variables back down

@@ -18,15 +18,12 @@ import numpy as np
 from . import attacks, defense, oddball, stats, transfer
 from .graph import Graph, derive_rng, generate, load_edge_list, save_edge_list
 
-SCHEMA_VERSION = 1
-
 
 def _load_graph(args) -> Graph:
     if args.input:
         return load_edge_list(args.input, drop_nonpositive_weights=args.drop_nonpositive)
     if args.gen:
-        model = args.gen.lower()
-        return generate(model, n=args.n, seed=args.seed, p=args.p, m=args.m)
+        return generate(args.gen, n=args.n, seed=args.seed, p=args.p, m=args.m)
     raise SystemExit("exactly one of --input or --gen is required")
 
 
@@ -43,7 +40,10 @@ def _add_input_flags(sub):
 
 def _select_targets(graph: Graph, args, rep: int) -> list[int]:
     if args.targets:
-        targets = sorted(int(t) for t in args.targets.split(","))
+        try:
+            targets = sorted(int(t) for t in args.targets.split(","))
+        except ValueError:
+            raise SystemExit(f"--targets {args.targets!r} is not a comma-separated list of integers") from None
         bad = [t for t in targets if not 0 <= t < graph.n]
         if bad:
             raise SystemExit(f"--targets {bad} out of range for a graph of {graph.n} nodes")
@@ -115,14 +115,14 @@ def cmd_defend(args) -> int:
     graph = _load_graph(args)
     with open(args.plan) as fh:
         plan = attacks.PerturbationPlan.from_dict(json.load(fh))
+    attacks.check_targets(plan.targets, graph.n)
     fitters = ("ols", "huber", "ransac")
-    config = defense.RobustConfig(seed=args.seed)
     clean_feats = oddball.ego_features(graph)
-    clean_reports = [defense.rescore_features(clean_feats, name, config) for name in fitters]
+    clean_reports = [defense.rescore_features(clean_feats, name, args.seed) for name in fitters]
     rows = [(0, 0.0, 0.0, 0.0)]
     for b, flips in sorted(plan.flips_by_budget.items()):
         feats = oddball.ego_features(graph, flips)
-        taus = [attacks.tau_as(clean, defense.rescore_features(feats, name, config), plan.targets)
+        taus = [attacks.tau_as(clean, defense.rescore_features(feats, name, args.seed), plan.targets)
                 for clean, name in zip(clean_reports, fitters)]
         rows.append((b, *taus))
     with open(args.out, "w", newline="") as fh:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateFit, NoConsensus
@@ -11,15 +9,10 @@ from .graph import Graph, derive_rng
 from .oddball import (AnomalyReport, EgoFeatures, RegressionFit, _line_fit, _masked_logs, anomaly_scores,
                       ego_features, fit_ols)
 
-
-@dataclass(frozen=True)
-class RobustConfig:
-    huber_k: float = 1.345
-    huber_iters: int = 100
-    huber_tol: float = 1e-8
-    ransac_iters: int = 200
-    ransac_inlier_tol: float | None = None  # None: 1.5 * median |OLS residual|
-    seed: int = 0
+HUBER_K = 1.345  # Huber threshold on the log-residual
+HUBER_ITERS = 100
+HUBER_TOL = 1e-8  # IRLS stops once both coefficients move less than this
+RANSAC_ITERS = 200
 
 
 def huber_loss(r: np.ndarray, k: float) -> np.ndarray:
@@ -28,32 +21,37 @@ def huber_loss(r: np.ndarray, k: float) -> np.ndarray:
     return np.where(r <= k, 0.5 * r**2, k * r - 0.5 * k**2)
 
 
-def fit_huber(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> RegressionFit:
+def fit_huber(features: EgoFeatures) -> RegressionFit:
     """Huber-loss line fit by iteratively reweighted least squares.
 
-    Starts from the OLS solution; weights are min(1, k/|residual|).
-    Stops when both coefficients move less than huber_tol.
+    Starts from the OLS solution; weights are min(1, HUBER_K/|residual|).
+    Stops when both coefficients move less than HUBER_TOL.
     """
     start = fit_ols(features)
     if start.degenerate:
         return RegressionFit(start.beta0, start.beta1, "huber", start.fit_mask, degenerate=True)
     mask, x, y = _masked_logs(features)
     beta0, beta1 = start.beta0, start.beta1
-    k = config.huber_k
-    for _ in range(config.huber_iters):
+    for _ in range(HUBER_ITERS):
         resid = y - beta0 - beta1 * x
         absr = np.maximum(np.abs(resid), 1e-12)
-        coef = _line_fit(x, y, np.minimum(1.0, k / absr))
+        coef = _line_fit(x, y, np.minimum(1.0, HUBER_K / absr))
         if coef is None:
             raise DegenerateFit("weighted design became singular")
-        done = abs(coef[0] - beta0) < config.huber_tol and abs(coef[1] - beta1) < config.huber_tol
+        done = abs(coef[0] - beta0) < HUBER_TOL and abs(coef[1] - beta1) < HUBER_TOL
         beta0, beta1 = coef
         if done:
             break
     return RegressionFit(beta0, beta1, "huber", mask)
 
 
-def fit_ransac(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> RegressionFit:
+def _inlier_tol(features: EgoFeatures, x: np.ndarray, y: np.ndarray) -> float:
+    """RANSAC's inlier band: 1.5 * median |OLS residual|, at least 1e-9."""
+    start = fit_ols(features)
+    return max(1.5 * float(np.median(np.abs(y - start.beta0 - start.beta1 * x))), 1e-9)
+
+
+def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
     """Random-sample-consensus line fit on the log-log features.
 
     Seeded two-point minimal samples with distinct ln N each propose a
@@ -64,15 +62,11 @@ def fit_ransac(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> 
     mask, x, y = _masked_logs(features)
     if len(np.unique(x)) < 2:
         raise DegenerateFit("need at least 2 distinct ln N values")
-    tol = config.ransac_inlier_tol
-    if tol is None:
-        start = fit_ols(features)
-        tol = 1.5 * float(np.median(np.abs(y - start.beta0 - start.beta1 * x)))
-        tol = max(tol, 1e-9)
-    rng = derive_rng(config.seed, "ransac")
+    tol = _inlier_tol(features, x, y)
+    rng = derive_rng(seed, "ransac")
     m = len(x)
     best = None  # (consensus size, -huber sum, beta0, beta1, inliers)
-    for _ in range(config.ransac_iters):
+    for _ in range(RANSAC_ITERS):
         i, j = rng.choice(m, size=2, replace=False)
         if x[i] == x[j]:
             continue
@@ -96,15 +90,14 @@ def fit_ransac(features: EgoFeatures, config: RobustConfig = RobustConfig()) -> 
     return RegressionFit(*coef, "ransac", mask[inliers])
 
 
-def rescore_features(features: EgoFeatures, fitter: str,
-                     config: RobustConfig = RobustConfig()) -> AnomalyReport:
+def rescore_features(features: EgoFeatures, fitter: str, seed: int = 0) -> AnomalyReport:
     """Fit the power law on given features with "ols", "huber" or "ransac",
     then score every node against that line."""
     if fitter == "huber":
-        fit = fit_huber(features, config)
+        fit = fit_huber(features)
     elif fitter == "ransac":
         # score every non-isolated node against the consensus line
-        fit = fit_ransac(features, config)
+        fit = fit_ransac(features, seed)
         fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(features)[0])
     elif fitter == "ols":
         fit = fit_ols(features)
@@ -113,10 +106,10 @@ def rescore_features(features: EgoFeatures, fitter: str,
     return anomaly_scores(features, fit)
 
 
-def robust_rescore(graph: Graph, fitter: str, config: RobustConfig = RobustConfig()) -> AnomalyReport:
+def robust_rescore(graph: Graph, fitter: str, seed: int = 0) -> AnomalyReport:
     """Egonet features of ``graph`` -> robust fit -> deviation scores for all nodes.
 
     A wrapper over ``rescore_features``; to score several fitters or flip
     plans on one graph, compute ``ego_features`` once and call that.
     """
-    return rescore_features(ego_features(graph), fitter, config)
+    return rescore_features(ego_features(graph), fitter, seed)

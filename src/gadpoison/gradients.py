@@ -69,26 +69,26 @@ def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
     }
 
 
-def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=None):
-    """Exact partials of the attack objective per unordered pair {i, j}.
+def surrogate_gradient(A: np.ndarray, targets, work) -> tuple[np.ndarray, float]:
+    """Exact partials of the attack objective per unordered pair {i, j},
+    and the objective's value.
 
     The objective is the sum over targets of squared residuals
     (E_t - Ehat_t)^2 on the relaxed adjacency A, with the line refitted
-    to A's own features; ``return_value`` also returns its value.
+    to A's own features.
 
     The returned field G is an n x n symmetric matrix whose (i, j) entry
     is dL/d(pair ij), the derivative when both A_ij and A_ji move
     together. Diagonal is zero.
 
-    ``work`` is a ``gradient_workspace(n)`` to compute in; without it the
-    call allocates its own. The returned G is one of its buffers, so it
-    is overwritten by the next call that is given the same workspace.
+    ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
+    is one of its buffers, so the next call on it overwrites G.
     """
     n = A.shape[0]
-    A2, B, G = gradient_workspace(n) if work is None else work
+    A2, B, G = work
     if len(targets) == 0:
         G.fill(0.0)
-        return (G, 0.0) if return_value else G
+        return G, 0.0
     st = _fit_arrays(A, targets, out=A2)
     N, E = st["N"], st["E"]
     mask, xbar, xc, yc, sxx = st["mask"], st["xbar"], st["xc"], st["yc"], st["sxx"]
@@ -139,4 +139,4 @@ def surrogate_gradient(A: np.ndarray, targets, return_value: bool = False, work=
     B *= A2
     G += B
     np.fill_diagonal(G, 0.0)
-    return (G, st["value"]) if return_value else G
+    return G, st["value"]

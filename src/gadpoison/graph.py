@@ -108,9 +108,6 @@ class Graph:
         return (isinstance(other, Graph) and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
 
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={self.num_edges()})"
-
     # -- derived quantities --------------------------------------------
 
     def triangle_diagonal(self) -> np.ndarray:
@@ -289,29 +286,10 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def generate(model: str, n: int, seed: int, p: float | None = None, m: int | None = None) -> Graph:
-    """Dispatch on model name: "er" needs p, "ba" needs m."""
-    model = model.lower()
+def generate(model: str, n: int, seed: int, p: float, m: int) -> Graph:
+    """Dispatch on model name: "er" uses p, "ba" uses m."""
     if model == "er":
-        if p is None:
-            raise ValueError("ER generation requires p")
         return generate_er(n, p, seed)
     if model == "ba":
-        if m is None:
-            raise ValueError("BA generation requires m")
         return generate_ba(n, m, seed)
     raise ValueError(f"unknown model {model!r}")
-
-
-def plant_clique(graph: Graph, size: int, seed: int) -> tuple[Graph, list[int]]:
-    """Densify a random node subset into a clique (planted anomaly).
-
-    Returns the new graph and the sorted member list.
-    """
-    if size > graph.n:
-        raise ValueError("clique size exceeds node count")
-    rng = derive_rng(seed, "plant_clique", size)
-    members = sorted(rng.choice(graph.n, size=size, replace=False).tolist())
-    clique = {(a, b) for k, a in enumerate(members) for b in members[k + 1:]}
-    return Graph(graph.n, list(clique | set(graph.edges()))), members
-

@@ -18,7 +18,6 @@ class PermTestResult:
     t0: float
     p_value: float
     m: int
-    seed: int
 
 
 def permutation_test(x, y, m: int = 100_000, seed: int = 0) -> PermTestResult:
@@ -52,4 +51,4 @@ def permutation_test(x, y, m: int = 100_000, seed: int = 0) -> PermTestResult:
         t = np.abs(perms[:, :nx].mean(axis=1) - perms[:, nx:].mean(axis=1))
         hits += int(np.sum(t >= t0))
         done += k
-    return PermTestResult(t0=float(t0), p_value=hits / m, m=m, seed=seed)
+    return PermTestResult(t0=float(t0), p_value=hits / m, m=m)

@@ -33,6 +33,10 @@ class RefexConfig:
     bins: int = 4
     prune_corr: float = 0.95
 
+    def __post_init__(self):
+        if self.recursion_depth < 0 or self.bins < 1:
+            raise ValueError(f"need recursion_depth >= 0 and bins >= 1, got {self.recursion_depth}, {self.bins}")
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -57,8 +61,7 @@ def _neighbor_aggregates(graph: Graph, column: np.ndarray):
 
 
 def _is_redundant(candidate: np.ndarray, retained: list[np.ndarray], threshold: float) -> bool:
-    cstd = candidate.std()
-    if cstd == 0:
+    if candidate.std() == 0:
         return True  # constant columns carry no information
     for col in retained:
         if col.std() == 0:
@@ -232,8 +235,8 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
-def f1_score(labels: np.ndarray, probs: np.ndarray, threshold: float = 0.5) -> float:
-    pred = np.asarray(probs) >= threshold
+def f1_score(labels: np.ndarray, probs: np.ndarray) -> float:
+    pred = np.asarray(probs) >= 0.5
     labels = np.asarray(labels) == 1
     tp = int((pred & labels).sum())
     fp = int((pred & ~labels).sum())
@@ -299,8 +302,7 @@ def _report(split: LabeledSplit, probs0: np.ndarray, probs1: np.ndarray, targets
     )
 
 
-def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig,
-                        attack_config: attacks.AttackConfig | None = None) -> TransferReport:
+def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig) -> TransferReport:
     """Full four-step protocol with the binarized attack as the poisoner;
     the clean run picks the targets and gives the clean metrics."""
     split = make_labeled_split(graph, pipeline.anomaly_fraction, pipeline.test_fraction, pipeline.seed)
@@ -308,9 +310,8 @@ def run_transfer_attack(graph: Graph, budget: int, pipeline: PipelineConfig,
     targets = identify_targets(clf, emb, split)
     if budget == 0:
         return _report(split, probs0, probs0, targets)
-    if attack_config is None:
-        attack_config = attacks.AttackConfig(budget_max=budget, targets=tuple(targets), seed=pipeline.seed)
-    plan = attacks.binarized_attack(graph, attack_config)
+    config = attacks.AttackConfig(budget_max=budget, targets=tuple(targets), seed=pipeline.seed)
+    plan = attacks.binarized_attack(graph, config)
     achieved = [b for b in plan.flips_by_budget if b <= budget]
     if not achieved:
         raise EmptyTargets("attack produced no flips within budget")

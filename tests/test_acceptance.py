@@ -18,7 +18,7 @@ from gadpoison.attacks import (
     grad_max_search,
     tau_as,
 )
-from gadpoison.defense import RobustConfig, robust_rescore
+from gadpoison.defense import robust_rescore
 from gadpoison.graph import (
     EdgeFlip,
     FlipAction,
@@ -26,13 +26,12 @@ from gadpoison.graph import (
     derive_rng,
     generate_ba,
     generate_er,
-    plant_clique,
 )
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
 from gadpoison.stats import permutation_test
 from gadpoison.transfer import PipelineConfig, run_transfer_attack
 from test_gradients import fd_pair_gradient, jittered_er
-from test_graph import has_edge
+from test_graph import has_edge, plant_clique
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -103,7 +102,7 @@ def test_a1_gradient_matches_finite_differences():
         A = jittered_er(20, 0.15, seed)
         rng = derive_rng(seed, "acceptance-a1")
         targets = sorted(rng.choice(20, size=int(rng.integers(1, 4)), replace=False).tolist())
-        grad = gradients.surrogate_gradient(A, targets)
+        grad, _ = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(20))
         for p in range(20):
             for q in range(p + 1, 20):
                 if abs(grad[p, q]) <= 1e-8:
@@ -181,7 +180,7 @@ def test_a5_defense_mitigation(a3_experiment):
     graph = a3_experiment["graph"]
     clean = {
         "ols": score_graph(graph),
-        "ransac": robust_rescore(graph, "ransac", RobustConfig(seed=0)),
+        "ransac": robust_rescore(graph, "ransac", seed=0),
     }
     wins = 0
     pairs = []
@@ -189,7 +188,7 @@ def test_a5_defense_mitigation(a3_experiment):
         tau_ols = tau_as(clean["ols"], score_graph(run["poisoned"]), run["targets"])
         tau_ran = tau_as(
             clean["ransac"],
-            robust_rescore(run["poisoned"], "ransac", RobustConfig(seed=0)),
+            robust_rescore(run["poisoned"], "ransac", seed=0),
             run["targets"],
         )
         pairs.append((round(tau_ols, 3), round(tau_ran, 3)))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def dense_grad_max_search(graph, config):
     flips, notes = [], []
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(config.budget_max):
-        G = gradients.surrogate_gradient(adj, targets)
+        G, _ = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n))
         is_edge = adj > 0.5
         # adding a non-edge needs negative gradient; deleting an edge positive
         valid = np.zeros((n, n), dtype=bool)
@@ -183,7 +184,7 @@ class TestContinuousA:
         targets = list(top_target(g))
         A = g.dense()
         for _ in range(50):
-            G = gradients.surrogate_gradient(A, targets)
+            G, _ = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(len(A)))
             A = np.clip(A - 0.05 * G, 0.0, 1.0)
             np.fill_diagonal(A, 0.0)
             assert A.min() >= 0.0 and A.max() <= 1.0
@@ -213,7 +214,7 @@ def allocating_continuous_a(graph, config):
     objective, notes = [], []
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(A, targets, return_value=True)
+            G, val = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(n))
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             A = prev
             notes.append(f"stopped at iteration {step}: {exc}")
@@ -356,7 +357,7 @@ def dense_binarized_attack(graph, config):
         for step in range(config.iters + 1):
             A = np.where(zdot >= 0.5, 1.0 - A0, A0)
             try:
-                G, surr = gradients.surrogate_gradient(A, targets, return_value=True)
+                G, surr = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(n))
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 G, surr = np.zeros((n, n)), math.inf
             soft = zdot[iu, ju]
@@ -421,9 +422,9 @@ class TestBinarizedAgainstDenseOracle:
         calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
         inner = gradients.surrogate_gradient
 
-        def counted(A, targets, **kwargs):
+        def counted(A, targets, work):
             try:
-                out = inner(A, targets, **kwargs)
+                out = inner(A, targets, work)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 calls.append((A.tobytes(), False))
                 raise
@@ -471,6 +472,25 @@ class TestTopPairs:
         assert _top_pairs(flipped, z, 3).tolist() == [0, 2, 3]
         assert _top_pairs(flipped, z, 5).tolist() == [0, 2, 3, 5, 4]
         assert _top_pairs(flipped, z, 9).tolist() == [0, 2, 3, 5, 4, 1]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("iters", -1, "iters must be >= 0, got -1"),
+        ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+        ("lr", -0.5, "lr must be finite and > 0, got -0.5"),
+        ("lr", float("nan"), "lr must be finite and > 0, got nan"),
+        ("lr", float("inf"), "lr must be finite and > 0, got inf"),
+        ("lambdas", (1e-3, -1e-4), "every lambda must be finite and >= 0, got [0.001, -0.0001]"),
+        ("lambdas", (float("nan"),), "every lambda must be finite and >= 0, got [nan]"),
+        ("lambdas", (float("inf"),), "every lambda must be finite and >= 0, got [inf]"),
+    ])
+    def test_unusable_hyperparameters_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttackConfig(budget_max=1, targets=(0,), **{field: value})
+
+    def test_zero_iterations_and_zero_lambda_accepted(self):
+        AttackConfig(budget_max=1, targets=(0,), iters=0, lambdas=(0.0,))
 
 
 class TestTargetValidation:

@@ -128,6 +128,23 @@ class TestAttack:
         assert rc == 1
         assert "--targets-count 30 exceeds --top-k 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--iters", "-3"), "iters must be >= 0, got -3"),
+        (("--lr", "-0.5"), "lr must be finite and > 0, got -0.5"),
+        (("--lr", "inf"), "lr must be finite and > 0, got inf"),
+        (("--lam", "nan"), "every lambda must be finite and >= 0, got [nan]"),
+        (("--lam", "0.1", "--lam", "-1"), "every lambda must be finite and >= 0, got [0.1, -1.0]"),
+        (("--targets", "1,2,"), "--targets '1,2,' is not a comma-separated list of integers"),
+        (("--targets", "1,x"), "--targets '1,x' is not a comma-separated list of integers"),
+    ])
+    def test_unusable_flags_fail_before_output(self, tmp_path, capsys, flags, message):
+        rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "continuous",
+                   "--budget", "3", "--targets-count", "3", "--top-k", "8", *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_explicit_targets(self, tmp_path):
         out_dir = tmp_path / "explicit"
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--seed", "5",
@@ -157,6 +174,22 @@ class TestDefend:
         assert first[0] == "0"
         assert all(float(v) == 0.0 for v in first[1:])
 
+
+    @pytest.mark.parametrize("targets, message", [
+        ([-1, 7], "targets [-1] out of range for a graph of 60 nodes"),
+        ([4, 600], "targets [600] out of range for a graph of 60 nodes"),
+        ([4, 4, 7], "target ids [4] repeat"),
+    ])
+    def test_bad_plan_targets_fail_before_output(self, tmp_path, capsys, targets, message):
+        plan = {"schema_version": 1, "targets": targets, "flips_by_budget": {}}
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        out = tmp_path / "defense.csv"
+        rc = main(["defend", "--gen", "ba", "--n", "60", "--m", "3", "--plan", str(plan_file),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_plan_reports_flip(self, tmp_path, capsys):
         graph_file = write_star(tmp_path / "star.txt")
@@ -284,6 +317,18 @@ class TestTransfer:
         report = json.loads(out.read_text())
         assert report["delta_b"] == pytest.approx(0.0, abs=1e-12)
         assert report["auc_clean"] == report["auc_poisoned"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--bins", "0"), "need recursion_depth >= 0 and bins >= 1, got 2, 0"),
+        (("--depth", "-1"), "need recursion_depth >= 0 and bins >= 1, got -1, 4"),
+    ])
+    def test_unusable_embedding_fails_before_output(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "transfer.json"
+        rc = main(["transfer", "--gen", "ba", "--n", "60", "--m", "3", "--budget", "2", *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPermtest:

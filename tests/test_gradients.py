@@ -24,6 +24,11 @@ def surrogate_value(A, targets):
     return gradients._fit_arrays(A, targets)["value"]
 
 
+def fresh_gradient(A, targets):
+    """``surrogate_gradient`` on a workspace of its own: (G, value)."""
+    return gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(len(A)))
+
+
 def jittered_er(n, p, seed, jitter=0.3):
     g = generate_er(n, p, seed)
     rng = np.random.default_rng(seed + 1000)
@@ -153,7 +158,7 @@ class TestPreconditions:
         A = np.zeros((4, 4))
         for p, q, w in edges:
             A[p, q] = A[q, p] = w
-        for fn in (surrogate_value, gradients.surrogate_gradient):
+        for fn in (surrogate_value, fresh_gradient):
             with pytest.raises(error) as info:
                 fn(A.view(NoSquare), targets)
             assert str(info.value) == message
@@ -163,7 +168,7 @@ class TestPreconditions:
         A = np.zeros((25, 25))
         A[np.arange(25), (np.arange(25) + 1) % 25] = 1.0
         A += A.T
-        for fn in (surrogate_value, gradients.surrogate_gradient):
+        for fn in (surrogate_value, fresh_gradient):
             with pytest.raises(DegenerateFit, match="all masked ln N equal"):
                 fn(A.view(NoSquare), [0])
 
@@ -178,7 +183,7 @@ class TestSurrogateGradient:
     def test_finite_difference_match(self):
         A = jittered_er(20, 0.15, 3)
         targets = [2, 7]
-        G = gradients.surrogate_gradient(A, targets)
+        G, _ = fresh_gradient(A, targets)
         for p in range(20):
             for q in range(p + 1, 20):
                 if abs(G[p, q]) > 1e-8:
@@ -187,7 +192,7 @@ class TestSurrogateGradient:
 
     def test_empty_targets_zero_field(self):
         g = generate_er(12, 0.3, 4)
-        G = gradients.surrogate_gradient(g.dense(), [])
+        G, _ = fresh_gradient(g.dense(), [])
         assert not G.any()
 
     def test_permutation_equivariance(self):
@@ -196,19 +201,19 @@ class TestSurrogateGradient:
         perm = np.random.default_rng(0).permutation(12)
         Ap = A[np.ix_(perm, perm)]
         permuted_targets = [int(np.flatnonzero(perm == t)[0]) for t in targets]
-        G = gradients.surrogate_gradient(A, targets)
-        Gp = gradients.surrogate_gradient(Ap, permuted_targets)
+        G, _ = fresh_gradient(A, targets)
+        Gp, _ = fresh_gradient(Ap, permuted_targets)
         assert np.allclose(G[np.ix_(perm, perm)], Gp, atol=1e-9)
 
     def test_symmetric_zero_diagonal(self):
         A = jittered_er(10, 0.5, 6)
-        G = gradients.surrogate_gradient(A, [0])
+        G, _ = fresh_gradient(A, [0])
         assert np.allclose(G, G.T)
         assert np.all(np.diag(G) == 0)
 
     def test_value_matches_surrogate_value(self):
         A = jittered_er(10, 0.5, 7)
-        _, val = gradients.surrogate_gradient(A, [1], return_value=True)
+        _, val = fresh_gradient(A, [1])
         assert val == pytest.approx(surrogate_value(A, [1]), rel=1e-12)
 
 
@@ -259,29 +264,29 @@ class TestWorkspace:
     ])
     def test_equal_with_and_without_work(self, make, targets):
         A = make()
-        G0, v0 = gradients.surrogate_gradient(A, targets, return_value=True)
+        G0, v0 = fresh_gradient(A, targets)
         Gr, vr = allocating_gradient(A, targets)
         assert np.array_equal(G0, Gr) and v0 == vr
         work = gradients.gradient_workspace(len(A))
-        G1, v1 = gradients.surrogate_gradient(A, targets, return_value=True, work=work)
+        G1, v1 = gradients.surrogate_gradient(A, targets, work)
         assert np.array_equal(G0, G1) and v0 == v1
         assert any(G1 is buf for buf in work)
-        assert np.array_equal(gradients.surrogate_gradient(A, targets, work=work), G0)
+        assert np.array_equal(gradients.surrogate_gradient(A, targets, work)[0], G0)
 
     def test_consecutive_calls_on_different_graphs(self):
         A1, A2 = binary_ba(40, 3, 2), jittered_er(40, 0.2, 13)
-        expected = [gradients.surrogate_gradient(A, [1, 4], return_value=True) for A in (A1, A2, A1)]
+        expected = [fresh_gradient(A, [1, 4]) for A in (A1, A2, A1)]
         work = gradients.gradient_workspace(40)
         for A, (G, v) in zip((A1, A2, A1), expected):
-            G1, v1 = gradients.surrogate_gradient(A, [1, 4], return_value=True, work=work)
+            G1, v1 = gradients.surrogate_gradient(A, [1, 4], work)
             assert np.array_equal(G1, G) and v1 == v
 
     def test_empty_targets(self):
         A = binary_ba(20, 2, 1)
         work = gradients.gradient_workspace(20)
-        gradients.surrogate_gradient(A, [0], work=work)  # leave stale values behind
-        G, v = gradients.surrogate_gradient(A, [], return_value=True, work=work)
-        G0, v0 = gradients.surrogate_gradient(A, [], return_value=True)
+        gradients.surrogate_gradient(A, [0], work)  # leave stale values behind
+        G, v = gradients.surrogate_gradient(A, [], work)
+        G0, v0 = fresh_gradient(A, [])
         assert v == v0 == 0.0
         assert np.array_equal(G, G0) and not G.any()
 
@@ -290,11 +295,11 @@ class TestWorkspace:
         iso = A.copy()
         iso[7, :] = iso[:, 7] = 0.0
         work = gradients.gradient_workspace(30)
-        gradients.surrogate_gradient(A, [7], work=work)
+        gradients.surrogate_gradient(A, [7], work)
         with pytest.raises(IsolatedTarget):
-            gradients.surrogate_gradient(iso, [7], work=work)
-        G, v = gradients.surrogate_gradient(iso, [3], return_value=True, work=work)
-        G0, v0 = gradients.surrogate_gradient(iso, [3], return_value=True)
+            gradients.surrogate_gradient(iso, [7], work)
+        G, v = gradients.surrogate_gradient(iso, [3], work)
+        G0, v0 = fresh_gradient(iso, [3])
         assert np.array_equal(G, G0) and v == v0
 
 
@@ -304,7 +309,7 @@ class TestLassoLinearity:
         A = jittered_er(8, 0.5, 11)
         targets = [0]
         lam = 0.05
-        G = gradients.surrogate_gradient(A, targets)
+        G, _ = fresh_gradient(A, targets)
         combined = G + lam * np.sign(A)
         np.fill_diagonal(combined, 0.0)
         assert np.allclose(combined - G, lam * np.sign(A) - np.diag(np.diag(lam * np.sign(A))))
@@ -318,6 +323,6 @@ class TestRuntimeBudget:
         A = g.dense()
         targets = [0, 1, 2]
         start = time.perf_counter()
-        gradients.surrogate_gradient(A, targets, return_value=True)
+        fresh_gradient(A, targets)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0

@@ -12,6 +12,7 @@ from gadpoison.graph import (
     FlipAction,
     Graph,
     apply_flips,
+    derive_rng,
     generate_ba,
     generate_er,
     load_edge_list,
@@ -26,6 +27,19 @@ def from_dense(adj):
 
 def has_edge(graph, i, j):
     return j in graph.neighbors(i)
+
+
+def plant_clique(graph, size, seed):
+    """Densify a random node subset into a clique (planted anomaly).
+
+    Returns the new graph and the sorted member list.
+    """
+    if size > graph.n:
+        raise ValueError("clique size exceeds node count")
+    rng = derive_rng(seed, "plant_clique", size)
+    members = sorted(rng.choice(graph.n, size=size, replace=False).tolist())
+    clique = {(a, b) for k, a in enumerate(members) for b in members[k + 1:]}
+    return Graph(graph.n, list(clique | set(graph.edges()))), members
 
 
 class TestLoadEdgeList:

@@ -19,7 +19,7 @@ from gadpoison.oddball import (
     score_graph,
     surrogate_objective,
 )
-from test_graph import from_dense
+from test_graph import from_dense, plant_clique
 
 
 def star(n_leaves):
@@ -230,8 +230,6 @@ class TestRankTopK:
         assert sorted(rank_top_k(score_graph(g), 20)) == list(range(20))
 
     def test_planted_clique_tops_ranking(self):
-        from gadpoison.graph import plant_clique
-
         g = generate_er(200, 0.02, 6)
         planted, members = plant_clique(g, 10, seed=1)
         top = rank_top_k(score_graph(planted), 10)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadpoison.errors import EmptyTargets
-from gadpoison.graph import Graph, generate_ba, generate_er, plant_clique
+from gadpoison.graph import Graph, generate_ba, generate_er
 from gadpoison.transfer import (
     Classifier,
     Embedding,
@@ -24,6 +24,7 @@ from gadpoison.transfer import (
     refex_embed,
     train_classifier,
 )
+from test_graph import plant_clique
 
 
 def auc_trapezoid(labels, scores):
@@ -97,6 +98,15 @@ def cycle(n):
 
 
 class TestRefexEmbed:
+    @pytest.mark.parametrize("kwargs", [dict(bins=0), dict(bins=-2), dict(recursion_depth=-1)])
+    def test_unusable_config_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="need recursion_depth >= 0 and bins >= 1"):
+            RefexConfig(**kwargs)
+
+    def test_one_bin_embeds(self):
+        emb = refex_embed(cycle(8), RefexConfig(recursion_depth=0, bins=1))
+        assert emb.width == 3 and np.all(emb.matrix == 1)
+
     def test_regular_cycle_identical_embeddings(self):
         emb = refex_embed(cycle(8), RefexConfig(recursion_depth=0, bins=2))
         assert np.all(emb.matrix == emb.matrix[0])
