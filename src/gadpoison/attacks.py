@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ from .errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
 from .graph import EdgeFlip, FlipAction, Graph, derive_rng
 
 DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
+# bytes of remembered gradients, keys included, that one BinarizedAttack
+# call may hold; past n = 725 a single pair vector exceeds it
+MEMO_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,17 @@ def _check_distinct(targets) -> None:
         raise ValueError(f"target ids {repeated} repeat")
 
 
-def check_targets(targets, n: int) -> None:
-    """Reject target ids that repeat or that are not nodes of an n-node graph."""
+def check_targets(targets, n: int, name: str = "targets") -> None:
+    """Reject target ids that are not integers, that repeat or that are
+    not nodes of an n-node graph; ``name`` labels the ids out of range."""
+    # bool is an int subclass, but true/false in a plan are not node ids
+    not_int = [t for t in targets if isinstance(t, bool) or not isinstance(t, (int, np.integer))]
+    if not_int:
+        raise ValueError(f"target ids {not_int} are not integers")
     _check_distinct(targets)
     outside = [t for t in targets if not 0 <= t < n]
     if outside:
-        raise ValueError(f"targets {outside} out of range for a graph of {n} nodes")
+        raise ValueError(f"{name} {outside} out of range for a graph of {n} nodes")
 
 
 @dataclass
@@ -189,11 +198,11 @@ def _pair_space(graph: Graph, config: AttackConfig):
     sign_p, frozen_p``, in lexicographic (``np.triu_indices``) order: the
     clean 0/1 adjacency value a0, the sign dA/d(flip) of the pair's only
     move (+1 adds, -1 deletes) and whether the config forbids that move.
-    a0 and sign_p are uint8 and int8, so the vectors beyond the two index
-    arrays take 3 bytes per pair.
+    iu and ju are int32 node ids, a0 and sign_p uint8 and int8, so the
+    vectors take 11 bytes per pair.
     """
     check_targets(config.targets, graph.n)
-    iu, ju = np.triu_indices(graph.n, k=1)
+    iu, ju = (ix.astype(np.int32) for ix in np.triu_indices(graph.n, k=1))
     a0 = np.zeros(len(iu), dtype=np.uint8)
     u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
     a0[u * (2 * graph.n - u - 1) // 2 + v - u - 1] = 1  # lexicographic index of pair {u < v}
@@ -227,8 +236,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     # current state of every open pair
     iu, ju, a0, sign_p, frozen = _pair_space(graph, config)
     is_edge = a0 == 1
-    adj = graph.dense()
-    degrees = graph.degrees()
+    adj = gradients.Adjacency(graph.dense())
     chosen: list[int] = []
     notes: list[str] = []
     work = gradients.gradient_workspace(graph.n)
@@ -240,7 +248,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         g *= sign_p
         valid = g < 0
         valid &= ~frozen
-        leaf = degrees <= 1
+        leaf = adj.N <= 1
         if leaf.any():  # never create singleton nodes
             valid &= ~(is_edge & (leaf[iu] | leaf[ju]))
         vals = np.where(valid, -g, -np.inf)
@@ -248,9 +256,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         if not np.isfinite(vals[best]):
             notes.append(f"NoValidMove after {len(chosen)} flips; plan truncated")
             break
-        p, q = iu[best], ju[best]
-        adj[p, q] = adj[q, p] = 1.0 - a0[best]
-        degrees[[p, q]] += int(sign_p[best])
+        adj.toggle(iu[best:best + 1], ju[best:best + 1])
         frozen[best] = True
         chosen.append(best)
 
@@ -268,8 +274,8 @@ def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
     one of the two iterate buffers.
 
     Returns the last iterate whose objective is defined, the objective
-    history and a note if the descent stopped early. The iterate buffers
-    and the gradient workspace are freed on return.
+    history and a note if the descent stopped early. The iterate buffers,
+    their counts and the gradient workspace are freed on return.
     """
     n = len(A)
     any_frozen = frozen.any()
@@ -278,10 +284,11 @@ def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
     # previous iterate, which must survive for the rollback below
     spare = np.empty((n, n))
     prev = A
+    adj = gradients.Adjacency(A)
     work = gradients.gradient_workspace(n)
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(A, config.targets, work)
+            G, val = gradients.surrogate_gradient(adj, config.targets, work)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
             # last valid point rather than silently repairing the descent
@@ -296,6 +303,7 @@ def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
         np.clip(spare, 0.0, 1.0, out=spare)
         np.fill_diagonal(spare, 0.0)
         prev, A, spare = A, spare, A
+        adj.reset(A)
     return A, objective, notes
 
 
@@ -330,6 +338,43 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- BinarizedAttack -----------------------------------------------------
 
 
+class _GradientMemo:
+    """Byte-bounded LRU map from a flip pattern's bytes to its (gsp,
+    surrogate), where gsp is None for a pattern whose objective failed.
+
+    An entry costs its key's bytes plus its gsp's. Storing evicts the
+    least recently used entries until the new one fits; one larger than
+    the bound is never stored. Stored gsp arrays are read-only.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+        self.entries: OrderedDict[bytes, tuple[np.ndarray | None, float]] = OrderedDict()
+
+    @staticmethod
+    def _size(key: bytes, gsp: np.ndarray | None) -> int:
+        return len(key) + (0 if gsp is None else gsp.nbytes)
+
+    def get(self, key: bytes) -> tuple[np.ndarray | None, float] | None:
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+        return entry
+
+    def put(self, key: bytes, gsp: np.ndarray | None, surr: float) -> None:
+        size = self._size(key, gsp)
+        if size > self.limit:
+            return
+        while self.used + size > self.limit:
+            old_key, (old_gsp, _) = self.entries.popitem(last=False)
+            self.used -= self._size(old_key, old_gsp)
+        if gsp is not None:
+            gsp.flags.writeable = False
+        self.entries[key] = (gsp, surr)
+        self.used += size
+
+
 def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
     """``flipped[np.argsort(-z[flipped], kind="stable")[:B]]``, sorting only
     the entries at or above the B-th largest soft value."""
@@ -348,10 +393,11 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     per unordered pair (lexicographic ``np.triu_indices`` order) is run
     through projected gradient descent; every forward pass binarizes z
     into the discrete flip pattern and evaluates surrogate + lambda *
-    ||z||_1 on the flipped 0/1 adjacency. That adjacency is kept across
-    steps and only the pairs that entered or left the pattern are toggled.
-    While the pattern holds, the adjacency is the same, so the surrogate
-    gradient (or the failure it raised) is reused instead of recomputed.
+    ||z||_1 on the flipped 0/1 adjacency. The same adjacency gives the
+    same surrogate gradient (or the same failure), so it is computed only
+    when the pattern changes to one that a memo of MEMO_BYTES, shared by
+    all lambdas, does not hold. Only then is the adjacency, with its
+    counts, moved to the pattern, by toggling the pairs that differ.
     Every step is a snapshot, across all lambdas in order: for budget b,
     the first snapshot of minimum finite surrogate among those with exactly
     b flipped entries supplies the flips; if no snapshot hit b exactly, the
@@ -371,34 +417,41 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     exact_surr, least_surr = np.full(B + 1, np.inf), np.full(B + 1, np.inf)
     exact_top: list[np.ndarray | None] = [None] * (B + 1)
     least_top: list[np.ndarray | None] = [None] * (B + 1)
+    memo = _GradientMemo(MEMO_BYTES)
 
-    def pair_gradient(A: np.ndarray, work) -> tuple[np.ndarray | None, float]:
-        try:
-            G, surr = gradients.surrogate_gradient(A, config.targets, work)
-        except (IsolatedTarget, DegenerateFit, NodeVanished):
-            # flip pattern isolated a target; mark the snapshot unusable
-            # and let the penalty pull the soft variables back down
-            return None, math.inf
-        return G[iu, ju] * sign_p, surr
+    def pattern_gradient(flipped: np.ndarray) -> tuple[np.ndarray | None, float]:
+        nonlocal shown
+        key = flipped.tobytes()
+        entry = memo.get(key)
+        if entry is None:
+            changed = np.setxor1d(shown, flipped, assume_unique=True)
+            adj.toggle(iu[changed], ju[changed])
+            shown = flipped
+            try:
+                G, surr = gradients.surrogate_gradient(adj, config.targets, work)
+                entry = G[iu, ju] * sign_p, surr
+            except (IsolatedTarget, DegenerateFit, NodeVanished):
+                # flip pattern isolated a target; mark the snapshot unusable
+                # and let the penalty pull the soft variables back down
+                entry = None, math.inf
+            memo.put(key, *entry)
+        return entry
 
     for lam in config.lambdas:
-        A = work = grad = None  # free the last run's buffers before the n x n draw below
+        adj = work = grad = None  # free the last run's buffers before the n x n draw below
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
         z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
         z[frozen_p] = 0.0
-        A = graph.dense()
+        adj = gradients.Adjacency(graph.dense())
         work = gradients.gradient_workspace(n)
         grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
-        pattern = np.zeros(0, dtype=np.intp)
-        gsp, surr = pair_gradient(A, work)
+        pattern = shown = np.zeros(0, dtype=np.intp)  # shown: the pattern adj holds
+        gsp, surr = pattern_gradient(pattern)
         for step in range(config.iters + 1):
             flipped = np.flatnonzero(z >= 0.5)
             if not np.array_equal(flipped, pattern):
-                changed = np.setxor1d(pattern, flipped, assume_unique=True)
-                p, q = iu[changed], ju[changed]
-                A[p, q] = A[q, p] = 1.0 - A[p, q]
                 pattern = flipped
-                gsp, surr = pair_gradient(A, work)
+                gsp, surr = pattern_gradient(flipped)
             count = len(flipped)
             if math.isfinite(surr):
                 # strict < keeps the first of equal minima

@@ -44,9 +44,7 @@ def _select_targets(graph: Graph, args, rep: int) -> list[int]:
             targets = sorted(int(t) for t in args.targets.split(","))
         except ValueError:
             raise SystemExit(f"--targets {args.targets!r} is not a comma-separated list of integers") from None
-        bad = [t for t in targets if not 0 <= t < graph.n]
-        if bad:
-            raise SystemExit(f"--targets {bad} out of range for a graph of {graph.n} nodes")
+        attacks.check_targets(targets, graph.n, name="--targets")
         return targets
     report = oddball.score_graph(graph)
     top = oddball.rank_top_k(report, args.top_k)

@@ -19,23 +19,84 @@ from .oddball import RegressionFit, _line_fit
 TAU_N = 1e-6
 
 
-def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three n x n float64 buffers one ``surrogate_gradient`` call needs.
+# a batch of more than RECOUNT_AT * n^2 toggled pairs recounts the square
+# with one BLAS product instead: toggling in place and recounting broke
+# even at 5, 28, 71, 263 and 1365 pairs for n = 100, 200, 300, 500 and
+# 1000 (2 cores, OpenBLAS), which n^2 / 1000 follows within a factor of 2
+RECOUNT_AT = 1e-3
+
+
+class Adjacency:
+    """A symmetric n x n adjacency A with the two counts the surrogate's
+    forward pass reads: the degrees N = A.sum(1) and the square A @ A.
+
+    N is counted on construction, the square on first use, so a call
+    that fails the degree checks never pays the O(n^3) product. On a 0/1
+    A, ``toggle`` flips pairs and keeps both counts current in O(n) per
+    pair. Their entries are integers, which float64 adds exactly in any
+    order, so the kept counts equal ``A.sum(1)`` and ``A @ A`` bit for bit.
+    """
+
+    def __init__(self, A: np.ndarray):
+        self._square = None  # n x n buffer, allocated on first use
+        self.reset(A)
+
+    def reset(self, A: np.ndarray) -> None:
+        """Hold a new A, which may be relaxed: N is recounted now and the
+        square on its next use, in the same buffer."""
+        self.A = A
+        self.N = A.sum(axis=1)
+        self._current = False
+
+    @property
+    def square(self) -> np.ndarray:
+        if not self._current:
+            if self._square is None:
+                self._square = np.empty(self.A.shape)
+            np.matmul(self.A, self.A, out=self._square)
+            self._current = True
+        return self._square
+
+    def toggle(self, p: np.ndarray, q: np.ndarray) -> None:
+        """Flip the distinct 0/1 pairs {p[k], q[k]} of a binary A.
+
+        With d = +1 for an add and -1 for a delete, each flip in turn adds
+        d*A[q] to row and column p of the square, d*A[p] to row and column
+        q, and 1 to (p, p) and (q, q), all read from A before that flip.
+        """
+        A, S = self.A, self._square
+        d = 1.0 - 2.0 * A[p, q]
+        if self._current and len(p) <= RECOUNT_AT * len(A) ** 2:
+            for a, b, s in zip(p.tolist(), q.tolist(), d.tolist()):
+                da, db = s * A[a], s * A[b]
+                S[a] += db
+                S[b] += da
+                S[:, a] += db
+                S[:, b] += da
+                S[a, a] += 1.0
+                S[b, b] += 1.0
+                A[a, b] = A[b, a] = A[a, b] + s
+        else:
+            self._current = False  # recount on next use instead
+            A[p, q] = A[q, p] = A[p, q] + d
+        np.add.at(self.N, p, d)
+        np.add.at(self.N, q, d)
+
+
+def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two n x n float64 buffers one ``surrogate_gradient`` call needs.
 
     No call reads what an earlier call left in them, so between calls a
     caller may use them as scratch (after it is done with the returned G).
     """
-    return np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    return np.empty((n, n)), np.empty((n, n))
 
 
-def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
-    """Shared forward state: features, mask, logs, line fit, residuals.
+def _fit_arrays(adj: Adjacency, targets):
+    """Shared forward state: features, mask, logs, line fit, residuals."""
+    A, N = adj.A, adj.N
 
-    ``A @ A`` is written to ``out`` when given.
-    """
-    N = A.sum(axis=1)
-
-    # every precondition depends on N alone: check them before the O(n^3) A @ A
+    # every precondition depends on N alone: check them before the square
     mask = np.flatnonzero(N > 0)
     if len(mask) < 2:
         raise DegenerateFit("fewer than 2 non-isolated nodes")
@@ -53,8 +114,7 @@ def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
     if len(isolated):
         raise IsolatedTarget(f"targets {isolated.tolist()} are isolated")
 
-    A2 = np.matmul(A, A, out=out)
-    diag3 = np.einsum("ij,ij->i", A, A2)
+    diag3 = np.einsum("ij,ij->i", A, adj.square)
     E = N + 0.5 * diag3
     y = np.log(E[mask])
     fit = RegressionFit(*_line_fit(x, y), "ols", mask)
@@ -69,13 +129,13 @@ def _fit_arrays(A: np.ndarray, targets, out: np.ndarray | None = None):
     }
 
 
-def surrogate_gradient(A: np.ndarray, targets, work) -> tuple[np.ndarray, float]:
+def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float]:
     """Exact partials of the attack objective per unordered pair {i, j},
     and the objective's value.
 
     The objective is the sum over targets of squared residuals
-    (E_t - Ehat_t)^2 on the relaxed adjacency A, with the line refitted
-    to A's own features.
+    (E_t - Ehat_t)^2 on the relaxed adjacency ``adj.A``, with the line
+    refitted to A's own features.
 
     The returned field G is an n x n symmetric matrix whose (i, j) entry
     is dL/d(pair ij), the derivative when both A_ij and A_ji move
@@ -84,12 +144,13 @@ def surrogate_gradient(A: np.ndarray, targets, work) -> tuple[np.ndarray, float]
     ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
     is one of its buffers, so the next call on it overwrites G.
     """
+    A = adj.A
     n = A.shape[0]
-    A2, B, G = work
+    B, G = work
     if len(targets) == 0:
         G.fill(0.0)
         return G, 0.0
-    st = _fit_arrays(A, targets, out=A2)
+    st = _fit_arrays(adj, targets)
     N, E = st["N"], st["E"]
     mask, xbar, xc, yc, sxx = st["mask"], st["xbar"], st["xc"], st["yc"], st["sxx"]
     beta1 = st["beta1"]
@@ -136,7 +197,7 @@ def surrogate_gradient(A: np.ndarray, targets, work) -> tuple[np.ndarray, float]
     G += B
     np.add(c[:, None], c[None, :], out=B)
     B *= 2.0
-    B *= A2
+    B *= adj.square
     G += B
     np.fill_diagonal(G, 0.0)
     return G, st["value"]

@@ -254,12 +254,23 @@ def save_edge_list(graph: Graph, path) -> None:
 # -- synthetic generators ----------------------------------------------
 
 
+# bytes of uniforms generate_er draws at a time
+ER_BLOCK_BYTES = 1 << 20
+
+
 def generate_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each unordered pair present independently."""
     if not 0 <= p <= 1:
         raise ValueError(f"link probability must be in [0,1], got {p}")
     rng = derive_rng(seed, "er", n, p)
-    return Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, k=1)))
+    # the n x n uniforms of row-major order, drawn ER_BLOCK_BYTES at a time
+    rows = max(1, ER_BLOCK_BYTES // (8 * max(n, 1)))
+    edges = [np.zeros((0, 2), dtype=np.intp)]
+    for start in range(0, n, rows):
+        upper = np.argwhere(np.triu(rng.random((min(rows, n - start), n)) < p, k=start + 1))
+        upper[:, 0] += start
+        edges.append(upper)
+    return Graph(n, np.concatenate(edges))
 
 
 def generate_ba(n: int, m: int, seed: int) -> Graph:

@@ -258,6 +258,12 @@ class PipelineConfig:
     lr: float = 0.01
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 @dataclass(frozen=True)
 class TransferReport:

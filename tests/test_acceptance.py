@@ -102,7 +102,8 @@ def test_a1_gradient_matches_finite_differences():
         A = jittered_er(20, 0.15, seed)
         rng = derive_rng(seed, "acceptance-a1")
         targets = sorted(rng.choice(20, size=int(rng.integers(1, 4)), replace=False).tolist())
-        grad, _ = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(20))
+        grad, _ = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
+                                               gradients.gradient_workspace(20))
         for p in range(20):
             for q in range(p + 1, 20):
                 if abs(grad[p, q]) <= 1e-8:

@@ -2,18 +2,20 @@ import itertools
 import json
 import math
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadpoison import gradients
+from gadpoison import attacks, gradients
 from gadpoison.attacks import (
     ATTACKS,
     AttackConfig,
     PerturbationPlan,
     _finalize_plan,
+    _GradientMemo,
     _top_pairs,
     binarized_attack,
     continuous_a,
@@ -97,7 +99,8 @@ def dense_grad_max_search(graph, config):
     flips, notes = [], []
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(config.budget_max):
-        G, _ = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n))
+        G, _ = gradients.surrogate_gradient(gradients.Adjacency(adj), targets,
+                                            gradients.gradient_workspace(n))
         is_edge = adj > 0.5
         # adding a non-edge needs negative gradient; deleting an edge positive
         valid = np.zeros((n, n), dtype=bool)
@@ -184,7 +187,8 @@ class TestContinuousA:
         targets = list(top_target(g))
         A = g.dense()
         for _ in range(50):
-            G, _ = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(len(A)))
+            G, _ = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
+                                                gradients.gradient_workspace(len(A)))
             A = np.clip(A - 0.05 * G, 0.0, 1.0)
             np.fill_diagonal(A, 0.0)
             assert A.min() >= 0.0 and A.max() <= 1.0
@@ -214,7 +218,8 @@ def allocating_continuous_a(graph, config):
     objective, notes = [], []
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(n))
+            G, val = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
+                                                  gradients.gradient_workspace(n))
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             A = prev
             notes.append(f"stopped at iteration {step}: {exc}")
@@ -357,7 +362,8 @@ def dense_binarized_attack(graph, config):
         for step in range(config.iters + 1):
             A = np.where(zdot >= 0.5, 1.0 - A0, A0)
             try:
-                G, surr = gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(n))
+                G, surr = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
+                                                       gradients.gradient_workspace(n))
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 G, surr = np.zeros((n, n)), math.inf
             soft = zdot[iu, ju]
@@ -416,19 +422,27 @@ class TestBinarizedAgainstDenseOracle:
         g, cfg = oracle_case(case)
         assert binarized_attack(g, cfg).to_dict() == dense_binarized_attack(g, cfg).to_dict()
 
-    @pytest.mark.parametrize("case", ["er-two-lambdas", "ba-isolating"])
-    def test_one_gradient_per_distinct_consecutive_pattern(self, case, monkeypatch):
+    # ba-add-only runs the four default lambdas over 25 distinct patterns;
+    # a 4096-byte bound holds four of its 105-pair gradients, so it evicts
+    @pytest.mark.parametrize("case, limit", [
+        ("er-two-lambdas", None), ("ba-isolating", None),
+        ("ba-add-only", None), ("ba-add-only", 4096),
+    ])
+    def test_one_gradient_per_distinct_consecutive_pattern_the_memo_misses(
+            self, case, limit, monkeypatch):
         g, cfg = oracle_case(case)
+        if limit is not None:
+            monkeypatch.setattr(attacks, "MEMO_BYTES", limit)
         calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
         inner = gradients.surrogate_gradient
 
-        def counted(A, targets, work):
+        def counted(adj, targets, work):
             try:
-                out = inner(A, targets, work)
+                out = inner(adj, targets, work)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
-                calls.append((A.tobytes(), False))
+                calls.append((adj.A.tobytes(), False))
                 raise
-            calls.append((A.tobytes(), True))
+            calls.append((adj.A.tobytes(), True))
             return out
 
         monkeypatch.setattr(gradients, "surrogate_gradient", counted)
@@ -436,16 +450,83 @@ class TestBinarizedAgainstDenseOracle:
         steps = cfg.iters + 1
         assert len(calls) == steps * len(cfg.lambdas)
         # collapse runs of the same adjacency within each lambda-run
-        expected = []
+        collapsed = []
         for start in range(0, len(calls), steps):
             run = calls[start:start + steps]
-            expected += [c for k, c in enumerate(run) if k == 0 or c[0] != run[k - 1][0]]
+            collapsed += [c for k, c in enumerate(run) if k == 0 or c[0] != run[k - 1][0]]
+        expected, evictions = lru_replay(collapsed, g, attacks.MEMO_BYTES)
         calls.clear()
         binarized_attack(g, cfg)
         assert calls == expected
         assert len(calls) < steps * len(cfg.lambdas)
         if case == "ba-isolating":
             assert not all(ok for _, ok in calls)
+        if limit is not None:
+            assert evictions > 0
+            assert len({c[0] for c in calls}) < len(calls)  # an evicted pattern came back
+            return
+        assert evictions == 0
+        if case == "ba-add-only":
+            # every lambda-run starts on the clean graph; only the first computes it
+            clean = g.dense().tobytes()
+            assert sum(c[0] == clean for c in collapsed) >= len(cfg.lambdas)
+            assert sum(c[0] == clean for c in calls) == 1
+
+
+def lru_replay(collapsed, graph, limit):
+    """Reference memo: the calls that remain when the collapsed adjacency
+    sequence runs through an LRU of ``limit`` bytes, and its evictions.
+
+    An entry costs 8 bytes per flipped pair (its key) plus 8 per pair of
+    the graph when the gradient exists.
+    """
+    n = graph.n
+    A0 = graph.dense()
+    memo, used, remaining, evictions = OrderedDict(), 0, [], 0
+    for adj_bytes, ok in collapsed:
+        if adj_bytes in memo:
+            memo.move_to_end(adj_bytes)
+            continue
+        remaining.append((adj_bytes, ok))
+        A = np.frombuffer(adj_bytes).reshape(n, n)
+        size = 8 * int(np.sum(A != A0)) // 2 + (8 * n * (n - 1) // 2 if ok else 0)
+        if size > limit:
+            continue
+        while used + size > limit:
+            used -= memo.popitem(last=False)[1]
+            evictions += 1
+        memo[adj_bytes] = size
+        used += size
+    return remaining, evictions
+
+
+class TestGradientMemo:
+    def test_entries_read_only(self):
+        memo = _GradientMemo(1 << 10)
+        gsp = np.arange(4.0)
+        memo.put(b"k", gsp, 1.5)
+        stored, surr = memo.get(b"k")
+        assert stored is gsp and surr == 1.5
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 9.0
+
+    def test_least_recent_evicted_first_within_the_bound(self):
+        memo = _GradientMemo(3 * (8 + 32))  # three entries of an 8-byte key and 4 floats
+        keys = [bytes(8 * [k]) for k in range(4)]
+        for k in keys[:3]:
+            memo.put(k, np.zeros(4), 0.0)
+        memo.get(keys[0])  # keys[1] is now the least recent
+        memo.put(keys[3], np.zeros(4), 0.0)
+        assert list(memo.entries) == [keys[2], keys[0], keys[3]]
+        assert memo.used == 3 * 40
+
+    def test_oversized_entry_never_stored(self):
+        memo = _GradientMemo(100)
+        memo.put(b"small", None, math.inf)
+        memo.put(b"big", np.zeros(20), 0.0)  # 3 + 160 bytes
+        assert memo.get(b"big") is None
+        assert memo.get(b"small") == (None, math.inf)
+        assert memo.used == 5
 
 
 @st.composite

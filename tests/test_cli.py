@@ -179,6 +179,8 @@ class TestDefend:
         ([-1, 7], "targets [-1] out of range for a graph of 60 nodes"),
         ([4, 600], "targets [600] out of range for a graph of 60 nodes"),
         ([4, 4, 7], "target ids [4] repeat"),
+        ([1.5, 3], "target ids [1.5] are not integers"),
+        ([True, 3, False], "target ids [True, False] are not integers"),
     ])
     def test_bad_plan_targets_fail_before_output(self, tmp_path, capsys, targets, message):
         plan = {"schema_version": 1, "targets": targets, "flips_by_budget": {}}
@@ -323,6 +325,20 @@ class TestTransfer:
         (("--depth", "-1"), "need recursion_depth >= 0 and bins >= 1, got -1, 4"),
     ])
     def test_unusable_embedding_fails_before_output(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "transfer.json"
+        rc = main(["transfer", "--gen", "ba", "--n", "60", "--m", "3", "--budget", "2", *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--epochs", "-5"), "epochs must be >= 1, got -5"),
+        (("--epochs", "0"), "epochs must be >= 1, got 0"),
+        (("--lr", "nan"), "lr must be finite and > 0, got nan"),
+        (("--lr", "0"), "lr must be finite and > 0, got 0.0"),
+    ])
+    def test_unusable_training_fails_before_output(self, tmp_path, capsys, flags, message):
         out = tmp_path / "transfer.json"
         rc = main(["transfer", "--gen", "ba", "--n", "60", "--m", "3", "--budget", "2", *flags,
                    "--out", str(out)])

@@ -21,12 +21,17 @@ def surrogate_value(A, targets):
     """Forward pass alone: the attack objective on a relaxed adjacency."""
     if len(targets) == 0:
         return 0.0
-    return gradients._fit_arrays(A, targets)["value"]
+    return gradients._fit_arrays(gradients.Adjacency(A), targets)["value"]
+
+
+def gradient_of(A, targets, work):
+    """``surrogate_gradient`` on a fresh ``Adjacency`` of A: (G, value)."""
+    return gradients.surrogate_gradient(gradients.Adjacency(A), targets, work)
 
 
 def fresh_gradient(A, targets):
     """``surrogate_gradient`` on a workspace of its own: (G, value)."""
-    return gradients.surrogate_gradient(A, targets, gradients.gradient_workspace(len(A)))
+    return gradient_of(A, targets, gradients.gradient_workspace(len(A)))
 
 
 def jittered_er(n, p, seed, jitter=0.3):
@@ -128,7 +133,7 @@ class TestForwardSharesTheDetectorFit:
     def test_binary_fit_and_prediction_bit_equal(self, seed, n, m):
         g = generate_ba(n, m, seed)
         targets = sorted(rank_top_k(score_graph(g), 3))
-        state = gradients._fit_arrays(g.dense(), targets)
+        state = gradients._fit_arrays(gradients.Adjacency(g.dense()), targets)
         feats = ego_features(g)
         fit = fit_ols(feats)
         assert not fit.degenerate
@@ -179,6 +184,65 @@ class TestPreconditions:
             surrogate_value(A.view(NoSquare), [0])
 
 
+@st.composite
+def toggle_batches(draw):
+    """A 0/1 adjacency and batches of distinct pairs to toggle in turn,
+    from single pairs to batches past the recount crossover."""
+    n = draw(st.integers(2, 90))
+    A = generate_er(n, draw(st.sampled_from([0.1, 0.5])), draw(st.integers(0, 10_000))).dense()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    crossover = int(gradients.RECOUNT_AT * n * n) + 1  # the smallest batch that recounts
+    size = st.one_of(st.just(1), st.integers(1, crossover), st.integers(crossover, 2 * crossover))
+    batches = draw(st.lists(size.map(lambda k: min(k, len(pairs))).flatmap(
+        lambda k: st.lists(st.sampled_from(pairs), min_size=k, max_size=k, unique=True)),
+        max_size=6))
+    return A, batches
+
+
+class TestAdjacencyCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(toggle_batches())
+    def test_toggles_keep_counts_exact(self, case):
+        A, batches = case
+        adj = gradients.Adjacency(A.copy())
+        for batch in batches:
+            adj.square  # counted, so the next small batch updates it in place
+            p, q = np.array(batch, dtype=np.int32).reshape(-1, 2).T
+            adj.toggle(p, q)
+            for i, j in batch:
+                A[i, j] = A[j, i] = 1.0 - A[i, j]
+            assert np.array_equal(adj.A, A)
+            assert np.array_equal(adj.N, A.sum(axis=1))
+            assert np.array_equal(adj.square, A @ A)
+
+    def test_small_batch_updates_large_batch_recounts(self):
+        n = 100
+        adj = gradients.Adjacency(generate_ba(n, 3, 1).dense())
+        adj.square
+        adj.A = adj.A.view(NoSquare)  # any further product of A fails
+        small = np.arange(int(gradients.RECOUNT_AT * n * n))  # the largest batch kept in place
+        adj.toggle(small, small + 1)
+        adj.square
+        large = np.arange(len(small) + 1)
+        adj.toggle(large, large + 2)
+        adj.toggle(np.array([0]), np.array([n - 1]))
+        with pytest.raises(AssertionError, match="A @ A"):
+            adj.square  # the large batch left the square to a recount
+        A = np.asarray(adj.A)
+        assert np.array_equal(adj.N, A.sum(axis=1))
+
+    def test_relaxed_counts_are_dense(self):
+        A = jittered_er(15, 0.3, 2)
+        adj = gradients.Adjacency(A)
+        assert np.array_equal(adj.N, A.sum(axis=1))
+        assert np.array_equal(adj.square, A @ A)
+        B = jittered_er(15, 0.3, 3)
+        square = adj.square
+        adj.reset(B)
+        assert np.array_equal(adj.N, B.sum(axis=1))
+        assert adj.square is square and np.array_equal(square, B @ B)
+
+
 class TestSurrogateGradient:
     def test_finite_difference_match(self):
         A = jittered_er(20, 0.15, 3)
@@ -227,7 +291,7 @@ def allocating_gradient(A, targets):
     The library builds the same expressions in a reused workspace; both
     must round every element identically.
     """
-    st = gradients._fit_arrays(A, targets)
+    st = gradients._fit_arrays(gradients.Adjacency(A), targets)
     N, E, mask, x, y, sxx = st["N"], st["E"], st["mask"], st["x"], st["y"], st["sxx"]
     beta1, targets, Ehat_t, resid_t = st["beta1"], st["targets"], st["Ehat_t"], st["resid_t"]
     n, M = len(A), len(mask)
@@ -268,24 +332,24 @@ class TestWorkspace:
         Gr, vr = allocating_gradient(A, targets)
         assert np.array_equal(G0, Gr) and v0 == vr
         work = gradients.gradient_workspace(len(A))
-        G1, v1 = gradients.surrogate_gradient(A, targets, work)
+        G1, v1 = gradient_of(A, targets, work)
         assert np.array_equal(G0, G1) and v0 == v1
         assert any(G1 is buf for buf in work)
-        assert np.array_equal(gradients.surrogate_gradient(A, targets, work)[0], G0)
+        assert np.array_equal(gradient_of(A, targets, work)[0], G0)
 
     def test_consecutive_calls_on_different_graphs(self):
         A1, A2 = binary_ba(40, 3, 2), jittered_er(40, 0.2, 13)
         expected = [fresh_gradient(A, [1, 4]) for A in (A1, A2, A1)]
         work = gradients.gradient_workspace(40)
         for A, (G, v) in zip((A1, A2, A1), expected):
-            G1, v1 = gradients.surrogate_gradient(A, [1, 4], work)
+            G1, v1 = gradient_of(A, [1, 4], work)
             assert np.array_equal(G1, G) and v1 == v
 
     def test_empty_targets(self):
         A = binary_ba(20, 2, 1)
         work = gradients.gradient_workspace(20)
-        gradients.surrogate_gradient(A, [0], work)  # leave stale values behind
-        G, v = gradients.surrogate_gradient(A, [], work)
+        gradient_of(A, [0], work)  # leave stale values behind
+        G, v = gradient_of(A, [], work)
         G0, v0 = fresh_gradient(A, [])
         assert v == v0 == 0.0
         assert np.array_equal(G, G0) and not G.any()
@@ -295,10 +359,10 @@ class TestWorkspace:
         iso = A.copy()
         iso[7, :] = iso[:, 7] = 0.0
         work = gradients.gradient_workspace(30)
-        gradients.surrogate_gradient(A, [7], work)
+        gradient_of(A, [7], work)
         with pytest.raises(IsolatedTarget):
-            gradients.surrogate_gradient(iso, [7], work)
-        G, v = gradients.surrogate_gradient(iso, [3], work)
+            gradient_of(iso, [7], work)
+        G, v = gradient_of(iso, [3], work)
         G0, v0 = fresh_gradient(iso, [3])
         assert np.array_equal(G, G0) and v == v0
 

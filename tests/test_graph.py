@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gadpoison import graph as graph_module
 from gadpoison.errors import EmptyGraph, InvalidFlip, MalformedEdgeList
 from gadpoison.graph import (
     EdgeFlip,
@@ -116,6 +117,14 @@ class TestGenerate:
 
     def test_er_seed_changes_graph(self):
         assert generate_er(200, 0.05, 9) != generate_er(200, 0.05, 10)
+
+    @pytest.mark.parametrize("n, block_bytes", [(1000, graph_module.ER_BLOCK_BYTES), (37, 8 * 37 * 5)])
+    def test_er_row_blocks_equal_one_draw(self, monkeypatch, n, block_bytes):
+        # blocks of 131 and 5 rows, the last one short
+        monkeypatch.setattr(graph_module, "ER_BLOCK_BYTES", block_bytes)
+        assert block_bytes // (8 * n) < n
+        uniforms = derive_rng(3, "er", n, 0.05).random((n, n))
+        assert generate_er(n, 0.05, 3) == Graph(n, np.argwhere(np.triu(uniforms < 0.05, k=1)))
 
     @pytest.mark.parametrize("n,m", [(50, 5), (30, 3), (20, 1)])
     def test_ba_edge_count(self, n, m):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,19 @@ def planted_graph():
     g = generate_ba(120, 3, 21)
     planted, _ = plant_clique(g, 8, seed=2)
     return planted
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epochs=-5), "epochs must be >= 1, got -5"),
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(lr=float("nan")), "lr must be finite and > 0, got nan"),
+        (dict(lr=float("inf")), "lr must be finite and > 0, got inf"),
+        (dict(lr=0.0), "lr must be finite and > 0, got 0.0"),
+    ])
+    def test_unusable_training_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**kwargs)
 
 
 class TestEvaluateTransfer:
