@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gradients, oddball
 from .errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
-from .graph import EdgeFlip, FlipAction, Graph, derive_rng
+from .graph import EdgeFlip, FlipAction, Graph, check_dense_fits, derive_rng
 
 DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
 # bytes of remembered gradients, keys included, that one BinarizedAttack
@@ -202,6 +202,7 @@ def _pair_space(graph: Graph, config: AttackConfig):
     vectors take 11 bytes per pair.
     """
     check_targets(config.targets, graph.n)
+    check_dense_fits(graph.n)  # every attack goes dense: fail before the pair vectors
     iu, ju = (ix.astype(np.int32) for ix in np.triu_indices(graph.n, k=1))
     a0 = np.zeros(len(iu), dtype=np.uint8)
     u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T

@@ -18,6 +18,10 @@ class EmptyGraph(GadPoisonError):
     """No edges survived edge-list filtering."""
 
 
+class GraphTooLarge(GadPoisonError):
+    """A dense n x n adjacency would need more bytes than physical memory."""
+
+
 class InvalidFlip(GadPoisonError):
     """A flip in a plan is inconsistent with the graph state it is applied to."""
 
@@ -27,7 +31,10 @@ class InvalidFlip(GadPoisonError):
 
 
 class DegenerateFit(GadPoisonError):
-    """The log-log regression system is singular (all masked ln N equal)."""
+    """The log-log line cannot be fitted: fewer than 2 nodes with N > 0
+    (OLS and the surrogate gradient), all their ln N equal (the surrogate
+    gradient; OLS returns a degenerate fit instead), a singular weighted
+    design (Huber), or fewer than 2 distinct ln N (RANSAC)."""
 
 
 class NodeVanished(GadPoisonError):

@@ -1,19 +1,20 @@
 """Differentiable surrogate objective on a relaxed adjacency.
 
-The forward pass mirrors the detector exactly: relaxed egonet features,
-log transforms, the closed-form 2x2 least-squares solve, and the squared
-target residuals. The backward pass carries hand-derived adjoints
-through every stage, including the regression coefficients' dependence
-on all nodes (the bi-level coupling), and returns one partial derivative
-per unordered pair, accounting for both symmetric matrix entries.
+The forward pass is the detector's own: the relaxed egonet features go
+through ``oddball.fit_ols`` and the squared target residuals that
+``oddball.surrogate_objective`` sums. The backward pass carries
+hand-derived adjoints through every stage, including the regression
+coefficients' dependence on all nodes (the bi-level coupling), and
+returns one partial derivative per unordered pair, accounting for both
+symmetric matrix entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFit, IsolatedTarget, NodeVanished
-from .oddball import RegressionFit, _line_fit
+from .errors import DegenerateFit, NodeVanished
+from .oddball import EgoFeatures, _connected_targets, _target_residuals, fit_ols
 
 # degree floor before taking ln; below it an attack is isolating a node
 TAU_N = 1e-6
@@ -92,50 +93,15 @@ def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((n, n)), np.empty((n, n))
 
 
-def _fit_arrays(adj: Adjacency, targets):
-    """Shared forward state: features, mask, logs, line fit, residuals."""
-    A, N = adj.A, adj.N
-
-    # every precondition depends on N alone: check them before the square
-    mask = np.flatnonzero(N > 0)
-    if len(mask) < 2:
-        raise DegenerateFit("fewer than 2 non-isolated nodes")
-    if np.any(N[mask] <= TAU_N):
-        bad = mask[N[mask] <= TAU_N]
-        raise NodeVanished(f"degree below {TAU_N} at nodes {bad.tolist()}")
-    x = np.log(N[mask])
-    xbar = x.mean()
-    xc = x - xbar
-    sxx = float(np.sum(xc**2))  # the x-spread _line_fit finds, bit for bit
-    if sxx == 0.0 or x.min() == x.max():  # the test _line_fit makes
-        raise DegenerateFit("all masked ln N equal; slope undefined")
-    targets = np.asarray(sorted(targets), dtype=int)
-    isolated = targets[~(N[targets] > 0)]
-    if len(isolated):
-        raise IsolatedTarget(f"targets {isolated.tolist()} are isolated")
-
-    diag3 = np.einsum("ij,ij->i", A, adj.square)
-    E = N + 0.5 * diag3
-    y = np.log(E[mask])
-    fit = RegressionFit(*_line_fit(x, y), "ols", mask)
-    Ehat_t = fit.predict_E(N[targets])
-    resid_t = E[targets] - Ehat_t
-    value = float(resid_t @ resid_t)
-    return {
-        "N": N, "E": E, "mask": mask,
-        "x": x, "y": y, "xbar": xbar, "xc": xc, "yc": y - y.mean(), "sxx": sxx,
-        "beta0": fit.beta0, "beta1": fit.beta1,
-        "targets": targets, "Ehat_t": Ehat_t, "resid_t": resid_t, "value": value,
-    }
-
-
 def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float]:
     """Exact partials of the attack objective per unordered pair {i, j},
     and the objective's value.
 
-    The objective is the sum over targets of squared residuals
-    (E_t - Ehat_t)^2 on the relaxed adjacency ``adj.A``, with the line
-    refitted to A's own features.
+    The objective is ``oddball.surrogate_objective`` of the relaxed
+    features N = A.sum(1), E = N + diag(A^3)/2 of ``adj.A``: the sum over
+    targets of squared residuals (E_t - Ehat_t)^2, with the line refitted
+    by ``oddball.fit_ols`` to those features. The value equals it bit for
+    bit.
 
     The returned field G is an n x n symmetric matrix whose (i, j) entry
     is dL/d(pair ij), the derivative when both A_ij and A_ji move
@@ -144,17 +110,33 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
     is one of its buffers, so the next call on it overwrites G.
     """
-    A = adj.A
+    A, N = adj.A, adj.N
     n = A.shape[0]
     B, G = work
     if len(targets) == 0:
         G.fill(0.0)
         return G, 0.0
-    st = _fit_arrays(adj, targets)
-    N, E = st["N"], st["E"]
-    mask, xbar, xc, yc, sxx = st["mask"], st["xbar"], st["xc"], st["yc"], st["sxx"]
-    beta1 = st["beta1"]
-    targets, Ehat_t, resid_t = st["targets"], st["Ehat_t"], st["resid_t"]
+    # every precondition depends on N alone: check them before the square
+    mask = np.flatnonzero(N > 0)  # fit_ols's mask
+    if len(mask) < 2:
+        raise DegenerateFit("fewer than 2 non-isolated nodes")
+    if np.any(N[mask] <= TAU_N):
+        bad = mask[N[mask] <= TAU_N]
+        raise NodeVanished(f"degree below {TAU_N} at nodes {bad.tolist()}")
+    x = np.log(N[mask])
+    xbar = x.mean()
+    xc = x - xbar
+    sxx = float(np.sum(xc**2))  # the x-spread fit_ols finds, bit for bit
+    if sxx == 0.0 or x.min() == x.max():  # the test that makes fit_ols degenerate
+        raise DegenerateFit("all masked ln N equal; slope undefined")
+    targets = _connected_targets(N, targets)
+
+    feats = EgoFeatures(N, N + 0.5 * np.einsum("ij,ij->i", A, adj.square))
+    fit = fit_ols(feats)
+    Ehat_t, resid_t, value = _target_residuals(feats, fit, targets)
+    E, beta1 = feats.E, fit.beta1
+    y = np.log(E[mask])
+    yc = y - y.mean()
     M = len(mask)
 
     # adjoints of the prediction: L = sum_t (E_t - Ehat_t)^2
@@ -200,4 +182,4 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     B *= adj.square
     G += B
     np.fill_diagonal(G, 0.0)
-    return G, st["value"]
+    return G, value

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyGraph, InvalidFlip, MalformedEdgeList
+from .errors import EmptyGraph, GraphTooLarge, InvalidFlip, MalformedEdgeList
 
 
 def derive_rng(seed: int, *tags) -> np.random.Generator:
@@ -20,6 +21,16 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
     material = repr((int(seed),) + tuple(tags)).encode()
     digest = hashlib.sha256(material).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+def check_dense_fits(n: int) -> None:
+    """Raise GraphTooLarge when an n x n float64 matrix, 8 n^2 bytes,
+    exceeds the machine's physical memory."""
+    need = 8 * n * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise GraphTooLarge(f"a dense {n}x{n} adjacency needs {need} bytes, "
+                            f"more than the {have} bytes of physical memory")
 
 
 class FlipAction(Enum):
@@ -100,6 +111,7 @@ class Graph:
 
     def dense(self) -> np.ndarray:
         """A fresh float64 0/1 n x n adjacency matrix (8 n^2 bytes)."""
+        check_dense_fits(self.n)
         adj = np.zeros((self.n, self.n))
         adj[self._rows(), self.indices] = 1.0
         return adj

@@ -75,7 +75,7 @@ def ego_features(graph: Graph, flips: list[EdgeFlip] = ()) -> EgoFeatures:
 
 
 def _masked_logs(features: EgoFeatures):
-    mask = np.flatnonzero(features.N >= 1)
+    mask = np.flatnonzero(features.N > 0)
     x = np.log(features.N[mask])
     y = np.log(features.E[mask])
     return mask, x, y
@@ -102,10 +102,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
 
 
 def fit_ols(features: EgoFeatures) -> RegressionFit:
-    """Ordinary least squares of ln E on [1, ln N] over nodes with N >= 1.
+    """Ordinary least squares of ln E on [1, ln N] over nodes with N > 0.
 
-    When all masked ln N coincide the normal matrix is singular; the
-    minimum-norm solution (beta1 = 0, beta0 = mean ln E) is returned
+    On integer degrees the mask is N >= 1; a relaxed N in (0, 1) stays in
+    the fit. When all masked ln N coincide the normal matrix is singular;
+    the minimum-norm solution (beta1 = 0, beta0 = mean ln E) is returned
     with the degenerate flag set.
     """
     mask, x, y = _masked_logs(features)
@@ -143,13 +144,29 @@ def surrogate_objective(features: EgoFeatures, targets) -> float:
         warnings.warn("surrogate_objective called with an empty target set")
         return 0.0
     fit = fit_ols(features)
-    mask_set = set(fit.fit_mask.tolist())
-    missing = [t for t in targets if t not in mask_set]
-    if missing:
-        raise IsolatedTarget(f"targets outside fit mask (isolated nodes): {missing}")
-    idx = np.asarray(targets)
-    resid = features.E[idx] - fit.predict_E(features.N[idx])
-    return float(np.sum(resid**2))
+    return _target_residuals(features, fit, _connected_targets(features.N, targets))[2]
+
+
+def _connected_targets(N: np.ndarray, targets) -> np.ndarray:
+    """The targets sorted, as an int array; ValueError if any is not a
+    node id, IsolatedTarget if any has N <= 0 and so lies outside the fit
+    mask."""
+    targets = np.asarray(sorted(targets), dtype=int)
+    outside = targets[(targets < 0) | (targets >= len(N))]
+    if len(outside):
+        raise ValueError(f"targets {outside.tolist()} out of range for a graph of {len(N)} nodes")
+    isolated = targets[~(N[targets] > 0)]
+    if len(isolated):
+        raise IsolatedTarget(f"targets {isolated.tolist()} are isolated")
+    return targets
+
+
+def _target_residuals(features: EgoFeatures, fit: RegressionFit, targets: np.ndarray):
+    """At the targets: the fitted Ehat, the residuals E - Ehat, and the
+    surrogate objective, the sum of their squares."""
+    Ehat = fit.predict_E(features.N[targets])
+    resid = features.E[targets] - Ehat
+    return Ehat, resid, float(np.sum(resid**2))
 
 
 def rank_top_k(report: AnomalyReport, k: int) -> list[int]:

@@ -113,6 +113,14 @@ class TestAttack:
         assert "--targets [5000] out of range for a graph of 30 nodes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("attack", ["gradmax", "continuous", "binarized"])
+    def test_graph_too_large_for_dense_fails(self, tmp_path, capsys, monkeypatch, attack):
+        monkeypatch.setattr("gadpoison.cli._load_graph", lambda args: Graph(10**6, []))
+        rc = main(["attack", "--input", "unused.txt", "--attack", attack, "--budget", "1",
+                   "--targets", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "needs 8000000000000 bytes, more than the" in capsys.readouterr().err
+
     def test_repeated_targets_fail(self, tmp_path, capsys):
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--seed", "5",
                    "--attack", "gradmax", "--budget", "1", "--targets", "3,7,3",

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gadpoison import gradients
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
-from gadpoison.graph import generate_ba, generate_er
-from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, rank_top_k, score_graph, surrogate_objective
+from gadpoison.graph import generate, generate_ba, generate_er
+from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, surrogate_objective
 from test_graph import from_dense
 
 
@@ -17,13 +17,6 @@ def relaxed_features(A):
     return EgoFeatures(N=N, E=N + 0.5 * diag3)
 
 
-def surrogate_value(A, targets):
-    """Forward pass alone: the attack objective on a relaxed adjacency."""
-    if len(targets) == 0:
-        return 0.0
-    return gradients._fit_arrays(gradients.Adjacency(A), targets)["value"]
-
-
 def gradient_of(A, targets, work):
     """``surrogate_gradient`` on a fresh ``Adjacency`` of A: (G, value)."""
     return gradients.surrogate_gradient(gradients.Adjacency(A), targets, work)
@@ -32,6 +25,11 @@ def gradient_of(A, targets, work):
 def fresh_gradient(A, targets):
     """``surrogate_gradient`` on a workspace of its own: (G, value)."""
     return gradient_of(A, targets, gradients.gradient_workspace(len(A)))
+
+
+def surrogate_value(A, targets):
+    """The attack objective on a relaxed adjacency, as the gradient reports it."""
+    return fresh_gradient(A, targets)[1]
 
 
 def jittered_er(n, p, seed, jitter=0.3):
@@ -123,22 +121,33 @@ class TestSurrogateValue:
         A[0, 1] = A[1, 0] = A[1, 2] = A[2, 1] = 1.0
         with pytest.raises(IsolatedTarget, match=r"targets \[3\] are isolated"):
             surrogate_value(A, [0, 3])
-        with pytest.raises(IsolatedTarget, match=r"isolated nodes\): \[3\]"):
+        with pytest.raises(IsolatedTarget, match=r"targets \[3\] are isolated"):
             surrogate_objective(ego_features(from_dense(A)), [0, 3])
 
 
-class TestForwardSharesTheDetectorFit:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(6, 40), m=st.integers(1, 3))
-    def test_binary_fit_and_prediction_bit_equal(self, seed, n, m):
-        g = generate_ba(n, m, seed)
-        targets = sorted(rank_top_k(score_graph(g), 3))
-        state = gradients._fit_arrays(gradients.Adjacency(g.dense()), targets)
+class TestValueIsTheDetectorObjective:
+    """The gradient's value is ``surrogate_objective`` of A's features, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(["ba", "er"]), seed=st.integers(0, 10_000),
+           n=st.integers(6, 40), m=st.integers(1, 3), p=st.sampled_from([0.1, 0.3]),
+           k=st.integers(1, 5))
+    def test_binary_value_bit_equal(self, model, seed, n, m, p, k):
+        g = generate(model, n, seed, p=p, m=m)
         feats = ego_features(g)
-        fit = fit_ols(feats)
-        assert not fit.degenerate
-        assert (state["beta0"], state["beta1"]) == (fit.beta0, fit.beta1)
-        assert np.array_equal(state["Ehat_t"], fit.predict_E(feats.N[targets]))
+        connected = np.flatnonzero(feats.N > 0)
+        assume(len(connected) >= 2 and not fit_ols(feats).degenerate)
+        rng = np.random.default_rng(seed)
+        targets = sorted(rng.choice(connected, size=min(k, len(connected)), replace=False).tolist())
+        assert surrogate_value(g.dense(), targets) == surrogate_objective(feats, targets)
+
+    def test_relaxed_degree_below_one_stays_in_the_fit(self):
+        A = np.zeros((13, 13))
+        A[:12, :12] = binary_ba(12, 2, 3)
+        A[0, 12] = A[12, 0] = 0.5  # node 12 hangs on by half an edge
+        feats = relaxed_features(A)
+        assert 12 in fit_ols(feats).fit_mask
+        assert surrogate_value(A, [0, 5]) == surrogate_objective(feats, [0, 5])
 
 
 class NoSquare(np.ndarray):
@@ -278,7 +287,7 @@ class TestSurrogateGradient:
     def test_value_matches_surrogate_value(self):
         A = jittered_er(10, 0.5, 7)
         _, val = fresh_gradient(A, [1])
-        assert val == pytest.approx(surrogate_value(A, [1]), rel=1e-12)
+        assert val == surrogate_objective(relaxed_features(A), [1])
 
 
 def binary_ba(n, m, seed):
@@ -286,19 +295,27 @@ def binary_ba(n, m, seed):
 
 
 def allocating_gradient(A, targets):
-    """Reference: the backward pass written with fresh temporaries per term.
+    """Reference: the forward and backward passes written out on A alone,
+    with fresh temporaries per term.
 
-    The library builds the same expressions in a reused workspace; both
-    must round every element identically.
+    The library fits through ``oddball.fit_ols`` and builds G in a reused
+    workspace; both must round every element identically.
     """
-    st = gradients._fit_arrays(gradients.Adjacency(A), targets)
-    N, E, mask, x, y, sxx = st["N"], st["E"], st["mask"], st["x"], st["y"], st["sxx"]
-    beta1, targets, Ehat_t, resid_t = st["beta1"], st["targets"], st["Ehat_t"], st["resid_t"]
-    n, M = len(A), len(mask)
+    n, targets = len(A), np.asarray(sorted(targets))
+    N = A.sum(axis=1)
+    E = N + 0.5 * np.einsum("ij,ij->i", A, A @ A)
+    mask = np.flatnonzero(N > 0)
+    M = len(mask)
+    x, y = np.log(N[mask]), np.log(E[mask])
+    xc, yc = x - x.mean(), y - y.mean()
+    sxx = float(np.sum(xc**2))
+    beta1 = float(np.sum(xc * yc) / sxx)
+    beta0 = float(y.mean() - beta1 * x.mean())
+    Ehat_t = np.exp(beta0) * N[targets] ** beta1
+    resid_t = E[targets] - Ehat_t
     g_t = -2.0 * resid_t
     dL_dbeta0 = float(g_t @ Ehat_t)
     dL_dbeta1 = float(g_t @ (Ehat_t * np.log(N[targets])))
-    xc, yc = x - x.mean(), y - y.mean()
     db1_dy = xc / sxx
     db1_dx = (yc - 2.0 * beta1 * xc) / sxx
     db0_dy = 1.0 / M - x.mean() * db1_dy
@@ -316,7 +333,7 @@ def allocating_gradient(A, targets):
     G += 2.0 * (A * c[:, None]).T @ A
     G += 2.0 * (A @ A) * (c[:, None] + c[None, :])
     np.fill_diagonal(G, 0.0)
-    return G, st["value"]
+    return G, float(np.sum(resid_t**2))
 
 
 class TestWorkspace:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadpoison import graph as graph_module
-from gadpoison.errors import EmptyGraph, InvalidFlip, MalformedEdgeList
+from gadpoison.errors import EmptyGraph, GraphTooLarge, InvalidFlip, MalformedEdgeList
 from gadpoison.graph import (
     EdgeFlip,
     FlipAction,
@@ -368,3 +368,9 @@ class TestCachedCounts:
         d = g.degrees()
         d[0] += 5
         assert np.array_equal(g.degrees(), g.dense().sum(axis=1))
+
+
+class TestDenseGuard:
+    def test_too_large_fails_before_allocating(self):
+        with pytest.raises(GraphTooLarge, match="a dense 1000000x1000000 adjacency needs 8000000000000 bytes"):
+            Graph(10**6, []).dense()

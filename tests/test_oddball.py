@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadpoison.errors import DegenerateFit, InvalidFlip
+from gadpoison.errors import DegenerateFit, InvalidFlip, IsolatedTarget
 from gadpoison.graph import EdgeFlip, FlipAction, Graph, apply_flips, generate_er
 from gadpoison.oddball import (
     AnomalyReport,
@@ -218,6 +218,16 @@ class TestSurrogate:
     def test_zero_iff_on_curve(self):
         f = EgoFeatures(N=np.array([1.0, 2.0, 4.0, 3.0]), E=np.array([1.0, 2.0, 4.0, 9.0]))
         assert surrogate_objective(f, [0, 1]) > 0  # node 3 bends the fit
+
+    @pytest.mark.parametrize("targets, error, message", [
+        ([-1, 0], ValueError, r"targets \[-1\] out of range for a graph of 6 nodes"),
+        ([0, 6], ValueError, r"targets \[6\] out of range for a graph of 6 nodes"),
+        ([5, 0], IsolatedTarget, r"targets \[5\] are isolated"),
+    ])
+    def test_bad_targets_rejected(self, targets, error, message):
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])  # node 5 isolated
+        with pytest.raises(error, match=message):
+            surrogate_objective(ego_features(g), targets)
 
 
 class TestRankTopK:
