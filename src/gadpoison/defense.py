@@ -6,13 +6,14 @@ import numpy as np
 
 from .errors import DegenerateFit, NoConsensus
 from .graph import Graph, derive_rng
-from .oddball import (AnomalyReport, EgoFeatures, RegressionFit, _line_fit, _masked_logs, anomaly_scores,
-                      ego_features, fit_ols)
+from .oddball import (AnomalyReport, EgoFeatures, RegressionFit, _fit_ols_logs, _line_fit, _masked_logs,
+                      anomaly_scores, ego_features, fit_ols)
 
 HUBER_K = 1.345  # Huber threshold on the log-residual
 HUBER_ITERS = 100
 HUBER_TOL = 1e-8  # IRLS stops once both coefficients move less than this
 RANSAC_ITERS = 200
+RANSAC_BATCH = 1 << 16  # candidate-line residuals held at once, 8 bytes each
 
 
 def huber_loss(r: np.ndarray, k: float) -> np.ndarray:
@@ -27,10 +28,10 @@ def fit_huber(features: EgoFeatures) -> RegressionFit:
     Starts from the OLS solution; weights are min(1, HUBER_K/|residual|).
     Stops when both coefficients move less than HUBER_TOL.
     """
-    start = fit_ols(features)
+    mask, x, y = _masked_logs(features)
+    start = _fit_ols_logs(mask, x, y)
     if start.degenerate:
         return RegressionFit(start.beta0, start.beta1, "huber", start.fit_mask, degenerate=True)
-    mask, x, y = _masked_logs(features)
     beta0, beta1 = start.beta0, start.beta1
     for _ in range(HUBER_ITERS):
         resid = y - beta0 - beta1 * x
@@ -45,9 +46,9 @@ def fit_huber(features: EgoFeatures) -> RegressionFit:
     return RegressionFit(beta0, beta1, "huber", mask)
 
 
-def _inlier_tol(features: EgoFeatures, x: np.ndarray, y: np.ndarray) -> float:
+def _inlier_tol(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """RANSAC's inlier band: 1.5 * median |OLS residual|, at least 1e-9."""
-    start = fit_ols(features)
+    start = _fit_ols_logs(mask, x, y)
     return max(1.5 * float(np.median(np.abs(y - start.beta0 - start.beta1 * x))), 1e-9)
 
 
@@ -56,34 +57,38 @@ def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
 
     Seeded two-point minimal samples with distinct ln N each propose a
     line; the candidate with the largest inlier consensus wins (ties by
-    smaller summed Huber loss, k = 1, over its inliers) and is refit by
-    least squares on the consensus set.
+    smaller summed Huber loss, k = 1, over its inliers, then by the
+    earlier draw) and is refit by least squares on the consensus set.
+    All RANSAC_ITERS samples are drawn first, and their consensus sizes
+    are counted in batches of at most RANSAC_BATCH residuals.
     """
     mask, x, y = _masked_logs(features)
     if len(np.unique(x)) < 2:
         raise DegenerateFit("need at least 2 distinct ln N values")
-    tol = _inlier_tol(features, x, y)
+    tol = _inlier_tol(mask, x, y)
     rng = derive_rng(seed, "ransac")
     m = len(x)
-    best = None  # (consensus size, -huber sum, beta0, beta1, inliers)
-    for _ in range(RANSAC_ITERS):
-        i, j = rng.choice(m, size=2, replace=False)
-        if x[i] == x[j]:
-            continue
-        b1 = (y[j] - y[i]) / (x[j] - x[i])
-        b0 = y[i] - b1 * x[i]
-        resid = y - b0 - b1 * x
-        inliers = np.abs(resid) <= tol
-        size = int(inliers.sum())
-        if size < 2:
-            continue
-        hub = float(huber_loss(resid[inliers], 1.0).sum())
-        key = (size, -hub)
-        if best is None or key > best[0]:
-            best = (key, b0, b1, inliers)
-    if best is None:
+    # the skip rules below draw nothing, so drawing every sample first keeps the stream
+    i, j = np.array([rng.choice(m, size=2, replace=False) for _ in range(RANSAC_ITERS)]).T
+    keep = x[i] != x[j]
+    i, j = i[keep], j[keep]
+    b1 = (y[j] - y[i]) / (x[j] - x[i])
+    b0 = y[i] - b1 * x[i]
+    size = np.empty(len(b0), dtype=np.int64)
+    rows = max(1, RANSAC_BATCH // m)
+    for s in range(0, len(b0), rows):
+        resid = y - b0[s:s + rows, None] - b1[s:s + rows, None] * x
+        size[s:s + rows] = np.count_nonzero(np.abs(resid) <= tol, axis=1)
+    if not len(size) or size.max() < 2:
         raise NoConsensus("no candidate line had at least 2 inliers")
-    _, _, _, inliers = best
+    best = None  # (huber sum, inliers) of the first smallest sum
+    for c in np.flatnonzero(size == size.max()):
+        resid = y - b0[c] - b1[c] * x
+        inliers = np.abs(resid) <= tol
+        hub = float(huber_loss(resid[inliers], 1.0).sum())
+        if best is None or hub < best[0]:
+            best = (hub, inliers)
+    inliers = best[1]
     coef = _line_fit(x[inliers], y[inliers])
     if coef is None:
         raise NoConsensus("consensus set has no ln N spread")
@@ -98,7 +103,7 @@ def rescore_features(features: EgoFeatures, fitter: str, seed: int = 0) -> Anoma
     elif fitter == "ransac":
         # score every non-isolated node against the consensus line
         fit = fit_ransac(features, seed)
-        fit = RegressionFit(fit.beta0, fit.beta1, "ransac", _masked_logs(features)[0])
+        fit = RegressionFit(fit.beta0, fit.beta1, "ransac", np.flatnonzero(features.N > 0))
     elif fitter == "ols":
         fit = fit_ols(features)
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateFit, NodeVanished
-from .oddball import EgoFeatures, _connected_targets, _target_residuals, fit_ols
+from .oddball import EgoFeatures, _connected_targets, _fit_ols_logs, _target_residuals
 
 # degree floor before taking ln; below it an attack is isolating a node
 TAU_N = 1e-6
@@ -132,10 +132,11 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     targets = _connected_targets(N, targets)
 
     feats = EgoFeatures(N, N + 0.5 * np.einsum("ij,ij->i", A, adj.square))
-    fit = fit_ols(feats)
-    Ehat_t, resid_t, value = _target_residuals(feats, fit, targets)
-    E, beta1 = feats.E, fit.beta1
+    E = feats.E
     y = np.log(E[mask])
+    fit = _fit_ols_logs(mask, x, y)  # fit_ols(feats), on the logs taken here
+    Ehat_t, resid_t, value = _target_residuals(feats, fit, targets)
+    beta1 = fit.beta1
     yc = y - y.mean()
     M = len(mask)
 

@@ -109,7 +109,12 @@ def fit_ols(features: EgoFeatures) -> RegressionFit:
     the minimum-norm solution (beta1 = 0, beta0 = mean ln E) is returned
     with the degenerate flag set.
     """
-    mask, x, y = _masked_logs(features)
+    return _fit_ols_logs(*_masked_logs(features))
+
+
+def _fit_ols_logs(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> RegressionFit:
+    """``fit_ols`` on the masked logs ``_masked_logs`` gives, for a caller
+    that already holds them."""
     if len(mask) < 2:
         raise DegenerateFit(f"need at least 2 nodes with N >= 1, have {len(mask)}")
     coef = _line_fit(x, y)

@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -8,8 +10,9 @@ from scipy.stats import spearmanr
 
 from gadpoison import defense
 from gadpoison.defense import fit_huber, fit_ransac, huber_loss, robust_rescore
-from gadpoison.graph import Graph, generate_er
-from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, score_graph
+from gadpoison.errors import DegenerateFit, NoConsensus
+from gadpoison.graph import Graph, derive_rng, generate_er
+from gadpoison.oddball import EgoFeatures, _line_fit, _masked_logs, ego_features, fit_ols, score_graph
 
 
 def features_on_line(beta0, beta1, n_values):
@@ -24,6 +27,49 @@ def contaminated_features(seed=0, n=20, outliers=1, shift=5.0):
     E = np.exp(0.0 + 1.0 * np.log(N))
     E[:outliers] = E[:outliers] * np.exp(shift)
     return EgoFeatures(N=N, E=np.maximum(E, N))
+
+
+def reference_fit_ransac(features, seed=0):
+    """The per-candidate RANSAC loop that ``fit_ransac`` replaced: each
+    draw's line is scored as it is drawn, and the strict maximum of
+    (consensus size, -Huber sum) is kept."""
+    mask, x, y = _masked_logs(features)
+    if len(np.unique(x)) < 2:
+        raise DegenerateFit("need at least 2 distinct ln N values")
+    tol = defense._inlier_tol(mask, x, y)
+    rng = derive_rng(seed, "ransac")
+    m = len(x)
+    best = None
+    for _ in range(defense.RANSAC_ITERS):
+        i, j = rng.choice(m, size=2, replace=False)
+        if x[i] == x[j]:
+            continue
+        b1 = (y[j] - y[i]) / (x[j] - x[i])
+        b0 = y[i] - b1 * x[i]
+        resid = y - b0 - b1 * x
+        inliers = np.abs(resid) <= tol
+        size = int(inliers.sum())
+        if size < 2:
+            continue
+        key = (size, -float(huber_loss(resid[inliers], 1.0).sum()))
+        if best is None or key > best[0]:
+            best = (key, inliers)
+    if best is None:
+        raise NoConsensus("no candidate line had at least 2 inliers")
+    inliers = best[1]
+    coef = _line_fit(x[inliers], y[inliers])
+    if coef is None:
+        raise NoConsensus("consensus set has no ln N spread")
+    return defense.RegressionFit(*coef, "ransac", mask[inliers])
+
+
+def ransac_outcome(fit, features, seed):
+    """(beta0, beta1, fit_mask) of a fit, or the type and message it raised."""
+    try:
+        r = fit(features, seed)
+    except (DegenerateFit, NoConsensus) as exc:
+        return type(exc), str(exc)
+    return r.beta0, r.beta1, r.fit_mask.tolist()
 
 
 class TestFitHuber:
@@ -115,6 +161,60 @@ class TestFitRansac:
         x, y = np.log(f.N[mask_all][pos]), np.log(f.E[mask_all][pos])
         # the refit line can move slightly off the defining sample; allow slack
         assert np.all(np.abs(y - r.beta0 - r.beta1 * x) <= 2.5 * tol)
+
+
+class TestFitRansacAgainstLoop:
+    # tol None keeps the OLS band; 0 leaves most lines under 2 inliers; 1e3
+    # makes every line's consensus the whole set, so the Huber sum decides
+    @given(nodes=st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 40.0)), min_size=2, max_size=40),
+           tol=st.sampled_from([None, 0.0, 1e-300, 0.05, 1e3]), batch=st.sampled_from([1, 7, 64, 1 << 17]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_fit_or_same_error(self, nodes, tol, batch, seed):
+        N = np.array([float(d) for d, _ in nodes])  # few distinct degrees: equal-ln-N draws are common
+        f = EgoFeatures(N=N, E=N + np.array([t for _, t in nodes]))
+        band = nullcontext() if tol is None else patch.object(defense, "_inlier_tol", lambda *args: tol)
+        with patch.object(defense, "RANSAC_BATCH", batch), band:
+            assert ransac_outcome(fit_ransac, f, seed) == ransac_outcome(reference_fit_ransac, f, seed)
+
+    def test_huber_sum_breaks_equal_consensus(self, monkeypatch):
+        # two lines of five points each: a line through two points of
+        # either holds its five and no other, and only the second line's
+        # points lie on it exactly, so its Huber sum is the smaller
+        monkeypatch.setattr(defense, "_inlier_tol", lambda *args: 0.01)
+        N = np.arange(2.0, 12.0)
+        noise = np.array([1e-3, -1e-3, 2e-3, -2e-3, 1e-3])
+        f = EgoFeatures(N=N, E=np.exp(np.concatenate([np.log(N[:5]) + noise, 3.0 + 0.5 * np.log(N[5:])])))
+        for seed in range(10):  # about half of them draw a first-line pair first
+            r = fit_ransac(f, seed=seed)
+            assert r.fit_mask.tolist() == [5, 6, 7, 8, 9]
+            assert ransac_outcome(fit_ransac, f, seed) == ransac_outcome(reference_fit_ransac, f, seed)
+
+    def test_every_draw_skipped(self, monkeypatch):
+        # nine equal degrees and one other: with 3 draws, some seed draws
+        # only equal-ln-N pairs
+        monkeypatch.setattr(defense, "RANSAC_ITERS", 3)
+        f = EgoFeatures(N=np.array([2.0] * 9 + [5.0]), E=np.array([3.0] * 9 + [9.0]))
+        seeds = [s for s in range(50)
+                 if ransac_outcome(reference_fit_ransac, f, s)[1] == "no candidate line had at least 2 inliers"]
+        assert seeds
+        for s in seeds:
+            with pytest.raises(NoConsensus, match="no candidate line had at least 2 inliers"):
+                fit_ransac(f, seed=s)
+
+    def test_memory_bounded_by_batches(self):
+        # one residual row per batch at M = 100,000; unbatched, the 200 rows
+        # would hold 160 MB
+        rng = np.random.default_rng(3)
+        N = rng.integers(1, 200, 100_000).astype(float)
+        f = EgoFeatures(N=N, E=N + rng.integers(0, 400, 100_000))
+        tracemalloc.start()
+        try:
+            fit_ransac(f, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestRobustRescore:

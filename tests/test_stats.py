@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,7 +9,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadpoison import stats
-from gadpoison.stats import permutation_test
+from gadpoison.stats import PermTestResult, permutation_test
+
+
+def reference_permutation_test(x, y, m, seed):
+    """The argsort permutation test that ``permutation_test`` replaced: each
+    resample's first half is the values at the first len(x) positions of
+    an argsort of its keys. Returns the result and every resample's t."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    t0 = abs(x.mean() - y.mean())
+    pooled = np.concatenate([x, y])
+    rng = stats.derive_rng(seed, "permutation_test", len(x), len(y), m)
+    perms = pooled[np.argsort(rng.random((m, len(pooled))), axis=1)]
+    t = np.abs(perms[:, :len(x)].mean(axis=1) - perms[:, len(x):].mean(axis=1))
+    return PermTestResult(t0=float(t0), p_value=int(np.sum(t >= t0)) / m, m=m), t
+
+
+class CoarseKeys:
+    """A stand-in generator whose keys take only ``levels`` values, so
+    most resamples tie at their cut."""
+
+    def __init__(self, seed, levels):
+        self.rng = np.random.default_rng(seed)
+        self.levels = levels
+
+    def random(self, size=None, out=None):
+        keys = np.floor(self.rng.random(out.shape if out is not None else size) * self.levels) / self.levels
+        if out is None:
+            return keys
+        out[...] = keys
+        return out
+
+
+integer_samples = st.lists(st.integers(-1000, 1000).map(float), min_size=1, max_size=30)
 
 
 class TestPermutationTest:
@@ -98,3 +132,51 @@ class TestPermutationTest:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             permutation_test([], [1.0], m=10, seed=0)
+
+
+class TestAgainstArgsortReference:
+    @pytest.mark.parametrize("elements", [7, 1000, stats.CHUNK_ELEMENTS])
+    @given(x=integer_samples, y=integer_samples, m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_samples_bit_identical(self, elements, x, y, m, seed):
+        # a function-scoped monkeypatch fails hypothesis's health check
+        with patch.object(stats, "CHUNK_ELEMENTS", elements):
+            assert permutation_test(x, y, m=m, seed=seed) == reference_permutation_test(x, y, m, seed)[0]
+
+    @given(x=st.lists(st.integers(-50, 50).map(float), min_size=2, max_size=20),
+           y=st.lists(st.integers(-50, 50).map(float), min_size=2, max_size=20),
+           levels=st.integers(2, 5), m=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tied_cuts_follow_the_argsort(self, x, y, levels, m, seed):
+        with patch.object(stats, "derive_rng", lambda *args: CoarseKeys(seed, levels)):
+            assert permutation_test(x, y, m=m, seed=0) == reference_permutation_test(x, y, m, 0)[0]
+
+    def test_coarse_keys_tie_at_the_cut(self):
+        # the property above reaches the argsort fallback
+        keys = CoarseKeys(0, 3).random((200, 10))
+        cut = np.partition(keys, 3, axis=1)[:, 3:4]
+        assert np.any(np.sum(keys <= cut, axis=1) != 4)
+
+    @given(x=st.lists(st.floats(-10, 10), min_size=1, max_size=40),
+           y=st.lists(st.floats(-10, 10), min_size=1, max_size=40),
+           m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_other_samples_differ_only_within_rounding(self, x, y, m, seed):
+        result = permutation_test(x, y, m=m, seed=seed)
+        ref, t = reference_permutation_test(x, y, m, seed)
+        assert result.t0 == ref.t0
+        near = int(np.sum(np.abs(t - ref.t0) <= 1e-12 * (abs(ref.t0) + 1.0)))
+        assert abs(round(result.p_value * m) - round(ref.p_value * m)) <= near
+
+
+def test_resample_memory_is_two_chunk_buffers():
+    # keys plus marks: 16 bytes per resampled value, well below 17
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(1, 50, 3000).astype(float), rng.integers(1, 50, 3000).astype(float)
+    tracemalloc.start()
+    try:
+        permutation_test(x, y, m=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * stats.CHUNK_ELEMENTS + 2**20
