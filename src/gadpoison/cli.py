@@ -3,6 +3,12 @@
 Subcommands: generate, score, attack, defend, transfer, permtest.
 A flat JSON config file may supply any flag's value; explicit CLI flags
 take precedence. All randomness derives from the single --seed.
+
+Run as a program (``python -m gadpoison.cli``, or the ``gadpoison``
+script through ``gadpoison.__main__``), each subcommand imports only the
+modules it runs: ``score`` loads ``graph`` and ``oddball``, and
+``permtest`` adds only ``stats``. Imported as a module, this file loads
+every subcommand's module at once (see the end of the file).
 """
 
 from __future__ import annotations
@@ -11,12 +17,17 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import attacks, defense, oddball, stats, transfer
+from . import oddball
 from .graph import Graph, derive_rng, generate, load_edge_list, save_edge_list
+
+# the --attack choices, so that parsing needs no attacks import; a test
+# checks that they equal sorted(attacks.ATTACKS)
+ATTACK_NAMES = ("binarized", "continuous", "gradmax")
 
 
 def _load_graph(args) -> Graph:
@@ -39,6 +50,8 @@ def _add_input_flags(sub):
 
 
 def _select_targets(graph: Graph, args, rep: int) -> list[int]:
+    from . import attacks
+
     if args.targets:
         try:
             targets = sorted(int(t) for t in args.targets.split(","))
@@ -54,6 +67,8 @@ def _select_targets(graph: Graph, args, rep: int) -> list[int]:
 
 
 def _attack_config(args, targets) -> attacks.AttackConfig:
+    from . import attacks
+
     return attacks.AttackConfig(
         budget_max=args.budget,
         targets=tuple(targets),
@@ -82,6 +97,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import attacks
+
+    if args.reps < 1:
+        raise SystemExit(f"--reps must be >= 1, got {args.reps}")
     if not args.targets and args.targets_count > args.top_k:
         raise SystemExit(f"--targets-count {args.targets_count} exceeds --top-k {args.top_k}")
     graph = _load_graph(args)
@@ -110,6 +129,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_defend(args) -> int:
+    from . import attacks, defense
+
     graph = _load_graph(args)
     with open(args.plan) as fh:
         plan = attacks.PerturbationPlan.from_dict(json.load(fh))
@@ -132,6 +153,8 @@ def cmd_defend(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from . import transfer
+
     graph = _load_graph(args)
     pipeline = transfer.PipelineConfig(
         refex=transfer.RefexConfig(recursion_depth=args.depth, bins=args.bins,
@@ -153,14 +176,15 @@ def _read_column(path: str, column: str | None) -> np.ndarray:
     with open(path) as fh:
         first = fh.readline()
     if "," in first and any(c.isalpha() for c in first):
-        with open(path) as fh:
-            reader = csv.DictReader(fh)
-            if column is None:
-                raise SystemExit(f"{path} is a CSV report; pass --column N or --column E")
-            try:
-                return np.array([float(row[column]) for row in reader])
-            except KeyError:
-                raise SystemExit(f"{path}: no column {column!r}") from None
+        if column is None:
+            raise SystemExit(f"{path} is a CSV report; pass --column N or --column E")
+        header = next(csv.reader([first]))
+        if column not in header:
+            raise SystemExit(f"{path}: no column {column!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a report without rows reads as empty
+            return np.loadtxt(path, delimiter=",", skiprows=1, usecols=header.index(column),
+                              ndmin=1, comments=None, quotechar='"')
     values = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -175,6 +199,8 @@ def _read_column(path: str, column: str | None) -> np.ndarray:
 
 
 def cmd_permtest(args) -> int:
+    from . import stats
+
     x = _read_column(args.file_x, args.column)
     y = _read_column(args.file_y, args.column)
     result = stats.permutation_test(x, y, m=args.m, seed=args.seed)
@@ -201,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("attack", allow_abbrev=False, help="run a poisoning attack sweep")
     _add_input_flags(p)
-    p.add_argument("--attack", choices=sorted(attacks.ATTACKS), required=True)
+    p.add_argument("--attack", choices=ATTACK_NAMES, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--targets", help="explicit comma-separated target ids")
     p.add_argument("--targets-count", type=int, default=10)
@@ -307,3 +333,7 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     raise SystemExit(main())
+else:
+    # code that wraps the package's functions by module, as bench/traced.py
+    # does, looks every module up in sys.modules right after importing this one
+    from . import attacks, defense, stats, transfer  # noqa: F401

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,6 +216,10 @@ def flip_counts(graph: Graph, flips: list[EdgeFlip]) -> tuple[np.ndarray, np.nda
 # -- edge-list I/O -----------------------------------------------------
 
 
+# any character outside the plain "u v" format sends a file to the line reader
+_NOT_PLAIN = re.compile(r"[^0-9 \t\n]")
+
+
 def load_edge_list(path, drop_nonpositive_weights: bool = False) -> Graph:
     """Read a whitespace-separated "u v" or "u v w" edge list.
 
@@ -220,7 +227,48 @@ def load_edge_list(path, drop_nonpositive_weights: bool = False) -> Graph:
     Duplicate and reversed edges are merged, self-loops dropped. With
     ``drop_nonpositive_weights``, lines whose weight w <= 0 are removed,
     a non-finite weight is malformed, and surviving weights are erased.
+
+    A file of digits, blanks and newlines with two ids on every non-blank
+    line is parsed by one numpy call; every other file (comments, weights,
+    signs, ids >= 2**63, malformed lines, no lines) goes through
+    ``_read_edge_lines``, which builds the same graph or raises.
     """
+    try:
+        with open(path) as fh:
+            pairs = _plain_pairs(fh.read())
+    except UnicodeDecodeError:  # raised again, as the line reader words it
+        pairs = None
+    if pairs is None:
+        return _read_edge_lines(path, drop_nonpositive_weights)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if not len(pairs):
+        raise EmptyGraph(f"{path}: no edges after filtering")
+    ids, new = np.unique(pairs.ravel(), return_inverse=True)
+    lo, hi = np.sort(new.reshape(-1, 2), axis=1).T
+    # reversed and repeated pairs merged; a plain np.unique would import
+    # numpy.ma (NumPy 2.4), about 17 ms of every command's start-up
+    keys = np.sort(lo * len(ids) + hi)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return Graph(len(ids), np.column_stack(np.divmod(keys, len(ids))))
+
+
+def _plain_pairs(text: str) -> np.ndarray | None:
+    """The (m, 2) int64 id pairs of ``text`` if it holds only digits,
+    spaces, tabs and newlines and two ids on each non-blank line; else None."""
+    if _NOT_PLAIN.search(text):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a text without rows
+        try:
+            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+        except (ValueError, OverflowError, Warning):  # ragged rows, ids >= 2**63, no rows
+            return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
+def _read_edge_lines(path, drop_nonpositive_weights: bool) -> Graph:
+    """``load_edge_list`` one line at a time: the reader of every file
+    outside the plain format, and the source of MalformedEdgeList."""
     pairs = set()
     ids = set()
     with open(path) as fh:

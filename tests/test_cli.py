@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadpoison
-from gadpoison.cli import _apply_config_file, build_parser, main
+from gadpoison import attacks
+from gadpoison.cli import ATTACK_NAMES, _apply_config_file, _read_column, build_parser, main
 from gadpoison.graph import Graph, generate_ba
 from gadpoison.oddball import rank_top_k, score_graph
 
@@ -129,6 +130,22 @@ class TestAttack:
         assert "target ids [3] repeat" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_nonpositive_reps_fail_before_output(self, tmp_path, capsys, reps):
+        rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "gradmax",
+                   "--budget", "1", "--reps", reps, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: --reps must be >= 1, got {reps}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_attack_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--gen", "ba", "--attack", "nettack", "--budget", "1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert ("argument --attack: invalid choice: 'nettack' (choose from "
+                "'binarized', 'continuous', 'gradmax')") in capsys.readouterr().err
+
     def test_targets_count_above_top_k_fails(self, tmp_path, capsys):
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "gradmax",
                    "--budget", "1", "--targets-count", "30", "--top-k", "20",
@@ -238,11 +255,78 @@ class TestDetectionStaysSparse:
         assert len((tmp_path / "defense.csv").read_text().splitlines()) == 4
 
     def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(gadpoison.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, gadpoison.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert run_python(code).strip() == "[]"
+
+
+def run_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` by a fresh interpreter
+    that imports this checkout's package."""
+    src = str(Path(gadpoison.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
+
+
+# the names gadpoison/__init__.py re-exported when it imported every
+# submodule eagerly, by defining module
+PACKAGE_EXPORTS = {
+    "attacks": ["AttackConfig", "PerturbationPlan", "binarized_attack", "continuous_a",
+                "grad_max_search", "tau_as"],
+    "defense": ["fit_huber", "fit_ransac", "rescore_features", "robust_rescore"],
+    "graph": ["EdgeFlip", "FlipAction", "Graph", "apply_flips", "derive_rng", "generate",
+              "generate_ba", "generate_er", "load_edge_list", "save_edge_list"],
+    "oddball": ["AnomalyReport", "EgoFeatures", "RegressionFit", "anomaly_scores", "ego_features",
+                "fit_ols", "rank_top_k", "score_graph", "surrogate_objective", "write_report_csv"],
+    "stats": ["PermTestResult", "permutation_test"],
+    "transfer": ["Embedding", "LabeledSplit", "PipelineConfig", "RefexConfig", "TransferReport",
+                 "identify_targets", "make_labeled_split", "refex_embed", "run_transfer_attack",
+                 "train_classifier"],
+}
+
+
+class TestStartup:
+    """A CLI process imports only the modules its subcommand runs."""
+
+    # run `gadpoison ARGS` as the installed script does, which runs gadpoison.cli
+    # as `python -m gadpoison.cli ARGS` would; then list the package's loaded modules
+    RUN_CLI = ("import sys\n"
+               "from gadpoison.__main__ import main\n"
+               "sys.argv = ['gadpoison', *sys.argv[1:]]\n"
+               "try:\n"
+               "    main()\n"
+               "except SystemExit as exc:\n"
+               "    assert exc.code == 0, exc.code\n"
+               "print(' '.join(sorted(m for m in sys.modules if m.startswith('gadpoison'))))\n")
+    DETECTION = ["gadpoison", "gadpoison.__main__", "gadpoison.errors", "gadpoison.graph",
+                 "gadpoison.oddball"]
+
+    def test_score_and_permtest_skip_attack_modules(self, tmp_path):
+        report = str(tmp_path / "report.csv")
+        out = run_python(self.RUN_CLI, "score", "--gen", "ba", "--n", "50", "--m", "3", "--out", report)
+        loaded = out.splitlines()[-1].split()
+        assert loaded == self.DETECTION
+        out = run_python(self.RUN_CLI, "permtest", report, report, "--column", "N", "--m", "10")
+        loaded = out.splitlines()[-1].split()
+        assert loaded == [*self.DETECTION, "gadpoison.stats"]
+        for module in ("attacks", "gradients", "transfer", "defense"):
+            assert f"gadpoison.{module}" not in loaded
+
+    def test_package_exports_resolve_on_access(self):
+        code = ("import importlib, json, sys\n"
+                "import gadpoison\n"
+                "print(sorted(m for m in sys.modules if m.startswith('gadpoison.')))\n"
+                "for module, names in json.loads(sys.argv[1]).items():\n"
+                "    for name in names:\n"
+                "        exec(f'from gadpoison import {name} as value')\n"
+                "        assert value is getattr(importlib.import_module(f'gadpoison.{module}'), name), name\n"
+                "print(gadpoison.__version__)\n")
+        assert run_python(code, json.dumps(PACKAGE_EXPORTS)).splitlines() == ["[]", "0.1.0"]
+        assert sorted(gadpoison.__all__) == sorted(n for names in PACKAGE_EXPORTS.values() for n in names)
+
+    def test_attack_choices_match_registry(self):
+        assert ATTACK_NAMES == tuple(sorted(attacks.ATTACKS))
 
 
 class TestGolden:
@@ -300,9 +384,10 @@ class TestGolden:
         assert main(["generate", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "3",
                      "--out", str(graph_file)]) == 0
         # 200 steps at this rate run to the end (the plan notes NonConvergence)
-        assert main(["attack", "--input", str(graph_file), "--seed", "3", "--attack", "continuous",
-                     "--budget", "4", "--targets-count", "3", "--top-k", "10",
-                     "--iters", "200", "--lr", "0.002", "--out", str(tmp_path / "atk")]) == 0
+        with pytest.warns(UserWarning, match="NonConvergence"):
+            assert main(["attack", "--input", str(graph_file), "--seed", "3", "--attack", "continuous",
+                         "--budget", "4", "--targets-count", "3", "--top-k", "10",
+                         "--iters", "200", "--lr", "0.002", "--out", str(tmp_path / "atk")]) == 0
         digests = {name: hashlib.sha256((tmp_path / "atk" / name).read_bytes()).hexdigest()
                    for name in self.CONTINUOUS_DIGESTS}
         assert digests == self.CONTINUOUS_DIGESTS
@@ -382,6 +467,27 @@ class TestPermtest:
         f = tmp_path / "x.txt"
         f.write_text("1.0\noops\n")
         assert main(["permtest", str(f), str(f), "--m", "100"]) == 1
+
+    def test_report_column_matches_csv_rows(self, tmp_path):
+        report = tmp_path / "r.csv"
+        main(["score", "--gen", "ba", "--n", "80", "--m", "3", "--seed", "4", "--out", str(report)])
+        with open(report) as fh:
+            rows = list(csv.DictReader(fh))
+        for column in ("N", "E", "score"):
+            values = _read_column(str(report), column)
+            assert values.dtype == np.float64
+            assert values.tolist() == [float(row[column]) for row in rows]
+
+    @pytest.mark.parametrize("column, message", [
+        (None, " is a CSV report; pass --column N or --column E"),
+        ("score", ": no column 'score'"),
+    ])
+    def test_report_column_messages(self, tmp_path, capsys, column, message):
+        report = tmp_path / "r.csv"
+        report.write_text("node_id,N,E\n0,1,1\n1,2,3\n")
+        flags = ["--column", column] if column else []
+        assert main(["permtest", str(report), str(report), "--m", "10", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {report}{message}\n"
 
     def test_nan_value_fails(self, tmp_path, capsys):
         x, y = tmp_path / "x.txt", tmp_path / "y.txt"

@@ -354,6 +354,116 @@ class TestLoadEdgeListFuzz:
                 assert (g.n, g.edges()) == expected
 
 
+def line_reader(path, drop_nonpositive_weights=False) -> Graph:
+    """Reference reader: ``load_edge_list`` one line at a time, a copy of
+    the loop that ``graph._read_edge_lines`` runs on files outside the
+    plain format."""
+    pairs = set()
+    ids = set()
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise MalformedEdgeList(path, line_no, f"expected 2 or 3 fields, got {len(parts)}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedEdgeList(path, line_no, "node ids must be integers") from None
+            if u < 0 or v < 0:
+                raise MalformedEdgeList(path, line_no, "node ids must be nonnegative")
+            if len(parts) == 3 and drop_nonpositive_weights:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise MalformedEdgeList(path, line_no, "weight must be numeric") from None
+                if not np.isfinite(w):
+                    raise MalformedEdgeList(path, line_no, "weight must be a finite number")
+                if w <= 0:
+                    continue
+            if u == v:
+                continue
+            ids.update((u, v))
+            pairs.add((min(u, v), max(u, v)))
+    if not pairs:
+        raise EmptyGraph(f"{path}: no edges after filtering")
+    remap = {orig: new for new, orig in enumerate(sorted(ids))}
+    return Graph(len(remap), [(remap[u], remap[v]) for u, v in pairs])
+
+
+# a few ids, so that pairs repeat, reverse and loop; then tokens outside
+# the plain format: signs, non-integers, ids at and past 2**63, non-ASCII
+# digits and a code point that numpy's integer parser reads as a digit
+PLAIN_IDS = ["0", "1", "2", "3", "07", "12", "9223372036854775807"]
+OTHER_IDS = ["-1", "-0", "+2", "1.5", "x", "1_0", "9223372036854775808", "18446744073709551616",
+             "\u0663", "0\U0001bca01"]
+BLANKS = st.sampled_from(["", " ", "\t", "  "])
+PLAIN_LINES = st.one_of(
+    st.tuples(BLANKS, st.sampled_from(PLAIN_IDS), st.sampled_from([" ", "\t", " \t "]),
+              st.sampled_from(PLAIN_IDS), BLANKS).map("".join),
+    BLANKS,
+)
+ODD_LINES = st.one_of(
+    st.sampled_from(["#", "# 1 2", "  #x", "0 1 # c"]),
+    st.tuples(st.sampled_from(PLAIN_IDS + OTHER_IDS), st.sampled_from(OTHER_IDS)).map(" ".join),
+    st.tuples(st.sampled_from(OTHER_IDS), st.sampled_from(PLAIN_IDS)).map(" ".join),
+    st.tuples(st.sampled_from(PLAIN_IDS), st.sampled_from(PLAIN_IDS), st.sampled_from(WEIGHT_TOKENS))
+    .map(" ".join),
+    st.sampled_from(PLAIN_IDS + OTHER_IDS),
+)
+
+
+def edge_file(parts) -> str:
+    """The plain lines with each (position, line) of the odd ones inserted,
+    joined by the line end, with or without a final one."""
+    plain, odd, eol, final_eol = parts
+    lines = list(plain)
+    for at, line in odd:
+        lines.insert(at, line)
+    return eol.join(lines) + (eol if final_eol and lines else "")
+
+
+EDGE_FILES = st.tuples(
+    st.lists(PLAIN_LINES, max_size=10),
+    st.lists(st.tuples(st.integers(0, 10), ODD_LINES), max_size=2),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+).map(edge_file)
+
+
+class TestLoadEdgeListParity:
+    """The numpy parse and the line reader build the same graph or raise
+    the same error, on every file."""
+
+    @given(text=EDGE_FILES, drop=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_reader(self, text, drop):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "g.txt"
+            path.write_bytes(text.encode())
+            try:
+                expected = line_reader(path, drop)
+            except (MalformedEdgeList, EmptyGraph) as exc:
+                with pytest.raises(type(exc)) as info:
+                    load_edge_list(path, drop_nonpositive_weights=drop)
+                assert str(info.value) == str(exc)
+            else:
+                g = load_edge_list(path, drop_nonpositive_weights=drop)
+                assert g.n == expected.n and g == expected
+
+    def test_plain_file_skips_line_reader(self, tmp_path, monkeypatch):
+        def refuse(path, drop_nonpositive_weights):
+            raise AssertionError("a plain edge list went to the line reader")
+
+        g = generate_ba(200, 3, 2)
+        path = tmp_path / "g.txt"
+        save_edge_list(g, path)
+        monkeypatch.setattr(graph_module, "_read_edge_lines", refuse)
+        assert load_edge_list(path) == g
+
+
 class TestCachedCounts:
     def test_diagonal_cached_read_only(self):
         g = generate_er(20, 0.3, 4)
