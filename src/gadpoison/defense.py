@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DegenerateFit, NoConsensus
@@ -46,10 +48,35 @@ def fit_huber(features: EgoFeatures) -> RegressionFit:
     return RegressionFit(beta0, beta1, "huber", mask)
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D array with no NaN and no -0.0
+    (here absolute residuals), bit for bit, without the import of
+    numpy.ma that ``np.median`` makes on its first call."""
+    h = len(a) // 2
+    if len(a) % 2:
+        return float(np.partition(a, h)[h])
+    part = np.partition(a, [h - 1, h])
+    return float((part[h - 1] + part[h]) / 2.0)
+
+
 def _inlier_tol(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """RANSAC's inlier band: 1.5 * median |OLS residual|, at least 1e-9."""
     start = _fit_ols_logs(mask, x, y)
-    return max(1.5 * float(np.median(np.abs(y - start.beta0 - start.beta1 * x))), 1e-9)
+    return max(1.5 * _median(np.abs(y - start.beta0 - start.beta1 * x)), 1e-9)
+
+
+@lru_cache(maxsize=8)
+def _ransac_draws(seed: int, m: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``iters`` two-point samples of ``fit_ransac``'s stream for
+    ``seed`` over ``m`` points, as read-only index arrays (i, j).
+
+    They depend on nothing else, so the fits of one ``defend`` (every
+    budget of a plan at one seed and node count) share one set of draws.
+    """
+    rng = derive_rng(seed, "ransac")
+    ij = np.array([rng.choice(m, size=2, replace=False) for _ in range(iters)])
+    ij.flags.writeable = False
+    return ij[:, 0], ij[:, 1]
 
 
 def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
@@ -59,17 +86,17 @@ def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
     line; the candidate with the largest inlier consensus wins (ties by
     smaller summed Huber loss, k = 1, over its inliers, then by the
     earlier draw) and is refit by least squares on the consensus set.
-    All RANSAC_ITERS samples are drawn first, and their consensus sizes
-    are counted in batches of at most RANSAC_BATCH residuals.
+    All RANSAC_ITERS samples are drawn first (once per seed and number
+    of points, see ``_ransac_draws``), and their consensus sizes are
+    counted in batches of at most RANSAC_BATCH residuals.
     """
     mask, x, y = _masked_logs(features)
-    if len(np.unique(x)) < 2:
+    if not len(x) or (x == x[0]).all():
         raise DegenerateFit("need at least 2 distinct ln N values")
     tol = _inlier_tol(mask, x, y)
-    rng = derive_rng(seed, "ransac")
     m = len(x)
     # the skip rules below draw nothing, so drawing every sample first keeps the stream
-    i, j = np.array([rng.choice(m, size=2, replace=False) for _ in range(RANSAC_ITERS)]).T
+    i, j = _ransac_draws(seed, m, RANSAC_ITERS)
     keep = x[i] != x[j]
     i, j = i[keep], j[keep]
     b1 = (y[j] - y[i]) / (x[j] - x[i])

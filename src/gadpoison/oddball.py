@@ -7,7 +7,6 @@ node by its deviation from the fitted line.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -190,13 +189,16 @@ def score_graph(graph: Graph) -> AnomalyReport:
 
 
 def write_report_csv(report: AnomalyReport, path) -> None:
-    """CSV schema: node_id, N, E, fitted_E, score, fitter."""
+    """CSV schema: node_id, N, E, fitted_E, score, fitter.
+
+    The bytes are those of one ``csv.writer`` row per node: "\\r\\n" line
+    ends, ``repr`` of N and E, and ``.10g`` of fitted_E and score (no
+    field needs quoting). All rows are formatted, then written at once.
+    """
     feats = report.features
     fitted = report.fit.predict_E(feats.N)
+    fitter = report.fit.fitter
+    columns = zip(feats.N.tolist(), feats.E.tolist(), fitted.tolist(), report.scores.tolist())
+    rows = [f"{i},{n!r},{e!r},{f:.10g},{s:.10g},{fitter}\r\n" for i, (n, e, f, s) in enumerate(columns)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "N", "E", "fitted_E", "score", "fitter"])
-        for i in range(len(report.scores)):
-            writer.writerow(
-                [i, feats.N[i], feats.E[i], f"{fitted[i]:.10g}", f"{report.scores[i]:.10g}", report.fit.fitter]
-            )
+        fh.write("".join(["node_id,N,E,fitted_E,score,fitter\r\n", *rows]))

@@ -313,6 +313,20 @@ class TestStartup:
         for module in ("attacks", "gradients", "transfer", "defense"):
             assert f"gadpoison.{module}" not in loaded
 
+    def test_defend_leaves_numpy_ma_out(self, tmp_path):
+        # np.median imports numpy.ma; RANSAC's inlier band takes its median without it
+        g = generate_ba(60, 3, 1)
+        (u, v), = g.edges()[:1]
+        plan = {"schema_version": 1, "targets": [0, 1],
+                "flips_by_budget": {"1": [{"i": int(u), "j": int(v), "action": "delete"}]}}
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        code = self.RUN_CLI + "print('numpy.ma' in sys.modules)\n"
+        out = run_python(code, "defend", "--gen", "ba", "--n", "60", "--m", "3", "--seed", "1",
+                         "--plan", str(plan_file), "--out", str(tmp_path / "defense.csv"))
+        assert "gadpoison.defense" in out.splitlines()[-2].split()
+        assert out.splitlines()[-1] == "False"
+
     def test_package_exports_resolve_on_access(self):
         code = ("import importlib, json, sys\n"
                 "import gadpoison\n"

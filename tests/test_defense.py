@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from contextlib import nullcontext
 from unittest.mock import patch
@@ -215,6 +216,88 @@ class TestFitRansacAgainstLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+class CountingRng:
+    """A Generator stand-in that counts its ``choice`` calls."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def choice(self, *args, **kwargs):
+        self.calls.append(args)
+        return self.rng.choice(*args, **kwargs)
+
+
+class TestRansacDraws:
+    """The RANSAC samples are drawn once per (seed, point count, RANSAC_ITERS)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(defense, "derive_rng", lambda *args: CountingRng(derive_rng(*args), calls))
+        defense._ransac_draws.cache_clear()
+        yield calls
+        defense._ransac_draws.cache_clear()
+
+    def test_defend_draws_once(self, tmp_path, calls):
+        from gadpoison.cli import main
+
+        g = generate_er(80, 0.1, 2)
+        missing = [(0, j) for j in range(1, 80) if j not in g.neighbors(0)][:20]
+        flips = [{"i": i, "j": j, "action": "add"} for i, j in missing]
+        plan = {"schema_version": 1, "targets": [0, 1],
+                "flips_by_budget": {str(b): flips[:b] for b in range(1, 21)}}
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        assert main(["defend", "--gen", "er", "--n", "80", "--p", "0.1", "--seed", "2",
+                     "--plan", str(plan_file), "--out", str(tmp_path / "defense.csv")]) == 0
+        # 21 RANSAC fits (the clean graph and 20 budgets) on one seed and node count
+        assert len((tmp_path / "defense.csv").read_text().splitlines()) == 22
+        assert len(calls) == defense.RANSAC_ITERS
+
+    def test_new_key_draws_afresh(self, calls, monkeypatch):
+        f = contaminated_features(seed=6, n=40, outliers=8)
+        iters = defense.RANSAC_ITERS
+        fit_ransac(f, seed=3)
+        fit_ransac(f, seed=3)
+        assert len(calls) == iters
+        fit_ransac(contaminated_features(seed=6, n=41, outliers=8), seed=3)  # another m
+        assert len(calls) == 2 * iters
+        assert {args[0] for args in calls} == {40, 41}
+        fit_ransac(f, seed=4)  # another seed
+        assert len(calls) == 3 * iters
+        monkeypatch.setattr(defense, "RANSAC_ITERS", 3)
+        fit_ransac(f, seed=3)
+        assert len(calls) == 3 * iters + 3
+
+    def test_draws_are_read_only(self):
+        i, j = defense._ransac_draws(0, 10, 5)
+        assert i.shape == j.shape == (5,)
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            i[0] = 0
+
+    @pytest.mark.parametrize("N", [[], [0.0, 0.0], [3.0], [3.0, 3.0, 0.0, 3.0]])
+    def test_fewer_than_two_ln_n_values(self, N):
+        f = EgoFeatures(N=np.array(N), E=np.array(N) + 1.0)
+        with pytest.raises(DegenerateFit, match="need at least 2 distinct ln N values"):
+            fit_ransac(f, seed=0)
+
+
+class TestMedian:
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, 1.0, 2.5])),
+                           min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median_bit_for_bit(self, values):
+        # odd and even lengths, ties from the sampled values, single values;
+        # absolute values, as _inlier_tol passes (np.median sums a middle
+        # -0.0 to 0.0)
+        a = np.abs(np.array(values))
+        with np.errstate(all="ignore"):
+            want = np.median(a)
+            got = defense._median(a.copy())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestRobustRescore:

@@ -1,8 +1,11 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gadpoison.errors import DegenerateFit, InvalidFlip, IsolatedTarget
@@ -18,6 +21,7 @@ from gadpoison.oddball import (
     rank_top_k,
     score_graph,
     surrogate_objective,
+    write_report_csv,
 )
 from test_graph import from_dense, plant_clique
 
@@ -304,3 +308,49 @@ class TestEgoFeaturesWithFlips:
         closed = ego_features(g, [EdgeFlip(0, 2, FlipAction.ADD)])
         assert closed.E.tolist() == [3.0, 3.0, 3.0]  # N = 2, diag(A^3) = 2 per node
         assert ego_features(g).E.tolist() == [1.0, 2.0, 1.0]
+
+
+def reference_write_report_csv(report, path):
+    """The row-at-a-time ``csv.writer`` loop that ``write_report_csv`` replaced."""
+    feats = report.features
+    fitted = report.fit.predict_E(feats.N)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_id", "N", "E", "fitted_E", "score", "fitter"])
+        for i in range(len(report.scores)):
+            writer.writerow(
+                [i, feats.N[i], feats.E[i], f"{fitted[i]:.10g}", f"{report.scores[i]:.10g}", report.fit.fitter]
+            )
+
+
+def report_bytes(writer, report) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        writer(report, path)
+        return path.read_bytes()
+
+
+class TestWriteReportCsv:
+    EXTREMES = [(1.7976931348623157e308, 5e-324, -2.2250738585072014e-308), (1e16, 1e-05, 123456789.0),
+                (float("inf"), float("nan"), -0.0)]
+
+    # (N, E, score) per node; beta0 and beta1 reach overflowing and
+    # underflowing fitted_E values
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=20),
+           beta=st.tuples(st.floats(-800, 800), st.floats(-50, 50)),
+           fitter=st.sampled_from(["ols", "huber", "ransac"]))
+    @example(rows=[], beta=(0.0, 1.0), fitter="ols")
+    @example(rows=[(3.0, 4.0, 0.25)], beta=(0.1, 1.2), fitter="huber")
+    @example(rows=EXTREMES, beta=(700.0, 1.5), fitter="ransac")
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_csv_writer(self, rows, beta, fitter):
+        N, E, scores = (np.array([r[k] for r in rows], dtype=float) for k in range(3))
+        report = AnomalyReport(scores, RegressionFit(*beta, fitter, np.flatnonzero(N > 0)), EgoFeatures(N=N, E=E))
+        with np.errstate(all="ignore"):
+            assert report_bytes(write_report_csv, report) == report_bytes(reference_write_report_csv, report)
+
+    def test_graph_report(self):
+        report = score_graph(generate_er(200, 0.05, 3))
+        data = report_bytes(write_report_csv, report)
+        assert data == report_bytes(reference_write_report_csv, report)
+        assert data.count(b"\r\n") == 201

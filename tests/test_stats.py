@@ -95,13 +95,20 @@ class TestPermutationTest:
         y = np.arange(5.0) + 2
         assert permutation_test(x, y, m=1000, seed=4) == permutation_test(x, y, m=1000, seed=4)
 
-    @pytest.mark.parametrize("elements", [7, 1000])
+    # blocks of 50 values: one row, 3 rows (2000 leaves 2 over), 20 rows,
+    # and more than m rows; the default is 1310 rows and a shorter block
+    @pytest.mark.parametrize("elements", [7, 150, 1000, 50 * 2001])
     def test_chunk_size_keeps_result(self, monkeypatch, elements):
         rng = np.random.default_rng(5)
         x, y = rng.normal(0, 1, 30), rng.normal(0.4, 1, 20)
+        coarse = patch.object(stats, "derive_rng", lambda *args: CoarseKeys(8, 3))  # most cut keys tie
         whole = permutation_test(x, y, m=2000, seed=8)
+        with coarse:
+            tied = permutation_test(x, y, m=2000, seed=8)
         monkeypatch.setattr(stats, "CHUNK_ELEMENTS", elements)
         assert permutation_test(x, y, m=2000, seed=8) == whole
+        with coarse:
+            assert permutation_test(x, y, m=2000, seed=8) == tied
 
     def test_converges_to_exact_enumeration(self):
         x = np.array([0.1, 1.3, 2.9])
@@ -180,3 +187,15 @@ def test_resample_memory_is_two_chunk_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 17 * stats.CHUNK_ELEMENTS + 2**20
+
+
+def test_default_blocks_peak_below_2_mib():
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(1, 50, 3000).astype(float), rng.integers(1, 50, 3000).astype(float)
+    tracemalloc.start()
+    try:
+        permutation_test(x, y, m=5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
