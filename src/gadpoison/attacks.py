@@ -29,6 +29,8 @@ DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
 # bytes of remembered gradients, keys included, that one BinarizedAttack
 # call may hold; past n = 725 a single pair vector exceeds it
 MEMO_BYTES = 2 << 20
+# bytes of uniforms BinarizedAttack's initial soft values are drawn from at a time
+Z_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,32 +196,53 @@ def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
 
 
 def _pair_space(graph: Graph, config: AttackConfig):
-    """Every unordered pair {i < j} of ``graph`` as vectors ``iu, ju, a0,
-    sign_p, frozen_p``, in lexicographic (``np.triu_indices``) order: the
-    clean 0/1 adjacency value a0, the sign dA/d(flip) of the pair's only
-    move (+1 adds, -1 deletes) and whether the config forbids that move.
-    iu and ju are int32 node ids, a0 and sign_p uint8 and int8, so the
-    vectors take 11 bytes per pair.
+    """Every unordered pair {i < j} of ``graph`` in lexicographic
+    (``np.triu_indices``) order: ``upper, a0, sign_p, frozen_p``.
+
+    ``upper`` is the n x n boolean mask of the strict upper triangle, so
+    ``M[upper]`` lists an n x n matrix's pair entries in that order, and
+    ``_pair_nodes`` gives a pair index's node ids. Per pair: the clean 0/1
+    adjacency value a0, the sign dA/d(flip) of the pair's only move (+1
+    adds, -1 deletes) and whether the config forbids that move, as uint8,
+    int8 and bool. That is n^2 bytes, about 2 per pair, plus 3 per pair.
     """
     check_targets(config.targets, graph.n)
     check_dense_fits(graph.n)  # every attack goes dense: fail before the pair vectors
-    iu, ju = (ix.astype(np.int32) for ix in np.triu_indices(graph.n, k=1))
-    a0 = np.zeros(len(iu), dtype=np.uint8)
+    n = graph.n
+    nodes = np.arange(n)
+    upper = np.less.outer(nodes, nodes)
+    a0 = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
     u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
-    a0[u * (2 * graph.n - u - 1) // 2 + v - u - 1] = 1  # lexicographic index of pair {u < v}
+    a0[_pair_index(u, v, n)] = 1
     frozen_p = np.zeros(len(a0), dtype=bool)
     if not config.allow_add:
         frozen_p |= a0 == 0
     if not config.allow_delete:
         frozen_p |= a0 == 1
-    return iu, ju, a0, 1 - 2 * a0.astype(np.int8), frozen_p
+    return upper, a0, 1 - 2 * a0.astype(np.int8), frozen_p
 
 
-def _pair_flips(pair_idx, iu, ju, a0) -> list[EdgeFlip]:
+def _pair_index(p, q, n: int):
+    """The lexicographic index of each pair {p < q} of n nodes."""
+    return p * (2 * n - p - 1) // 2 + q - p - 1
+
+
+def _pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node ids p < q of the pairs with lexicographic indices k, as
+    int64, found from the row starts p(2n - p - 1)/2."""
+    k = np.asarray(k, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    starts = _pair_index(rows, rows + 1, n)
+    p = np.searchsorted(starts, k, side="right") - 1
+    return p, k - starts[p] + p + 1
+
+
+def _pair_flips(pair_idx, a0: np.ndarray, n: int) -> list[EdgeFlip]:
     """The flips of the given pairs, in the given order, each away from
     the pair's clean state a0."""
-    return [EdgeFlip(int(iu[k]), int(ju[k]), FlipAction.DELETE if a0[k] else FlipAction.ADD)
-            for k in pair_idx]
+    p, q = _pair_nodes(pair_idx, n)
+    return [EdgeFlip(i, j, FlipAction.DELETE if a0[k] else FlipAction.ADD)
+            for i, j, k in zip(p.tolist(), q.tolist(), pair_idx)]
 
 
 # -- GradMaxSearch -------------------------------------------------------
@@ -233,35 +256,40 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     justify the only feasible move, when they were already modified, or
     when deleting would isolate an endpoint. Ties break lexicographic.
     """
-    # a flipped pair is frozen; pairs flip at most once, so a0 stays the
-    # current state of every open pair
-    iu, ju, a0, sign_p, frozen = _pair_space(graph, config)
+    n = graph.n
+    # a flipped pair stops being movable; pairs flip at most once, so a0
+    # stays the current state of every open pair
+    upper, a0, sign_p, frozen = _pair_space(graph, config)
+    movable = ~frozen
     is_edge = a0 == 1
     adj = gradients.Adjacency(graph.dense())
     chosen: list[int] = []
     notes: list[str] = []
-    work = gradients.gradient_workspace(graph.n)
+    work = gradients.gradient_workspace(n)
 
     for _ in range(config.budget_max):
         G, _ = gradients.surrogate_gradient(adj, config.targets, work)
-        # adding a non-edge needs a negative gradient, deleting an edge a positive one
-        g = G[iu, ju]
-        g *= sign_p
-        valid = g < 0
-        valid &= ~frozen
+        # the first-order decrease of a pair's flip: adding a non-edge
+        # needs a negative gradient, deleting an edge a positive one
+        gain = G[upper]
+        gain *= sign_p
+        np.negative(gain, out=gain)
+        valid = gain > 0
+        valid &= movable
         leaf = adj.N <= 1
         if leaf.any():  # never create singleton nodes
-            valid &= ~(is_edge & (leaf[iu] | leaf[ju]))
-        vals = np.where(valid, -g, -np.inf)
-        best = int(np.argmax(vals))  # argmax returns first max: lexicographic
-        if not np.isfinite(vals[best]):
+            valid &= ~(is_edge & (leaf[:, None] | leaf[None, :])[upper])
+        gain[~valid] = -np.inf
+        best = int(np.argmax(gain))  # argmax returns first max: lexicographic
+        if not np.isfinite(gain[best]):
             notes.append(f"NoValidMove after {len(chosen)} flips; plan truncated")
             break
-        adj.toggle(iu[best:best + 1], ju[best:best + 1])
-        frozen[best] = True
+        del gain, valid  # freed before the next step's gather
+        adj.toggle(*_pair_nodes([best], n))
+        movable[best] = False
         chosen.append(best)
 
-    flips = _pair_flips(chosen, iu, ju, a0)
+    flips = _pair_flips(chosen, a0, n)
     flips_by_budget = {b: flips[:b] for b in range(1, len(flips) + 1)}
     failed = {b: "no valid move" for b in range(len(flips) + 1, config.budget_max + 1)}
     return _finalize_plan(graph, config, "gradmax", flips_by_budget, failed, notes)
@@ -270,23 +298,19 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- ContinuousA ---------------------------------------------------------
 
 
-def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
-    """ContinuousA's projected gradient steps from A, whose buffer becomes
-    one of the two iterate buffers.
+def _descend(A: np.ndarray, frozen: np.ndarray | None, config: AttackConfig):
+    """ContinuousA's projected gradient steps from A, whose buffer the
+    descent takes over; ``frozen`` is an n x n mask of pairs that stay
+    put, or None.
 
     Returns the last iterate whose objective is defined, the objective
-    history and a note if the descent stopped early. The iterate buffers,
-    their counts and the gradient workspace are freed on return.
+    history and a note if the descent stopped early. The other iterate
+    buffer, the square and the gradient workspace are freed on return.
     """
-    n = len(A)
-    any_frozen = frozen.any()
     objective, notes = [], []
-    # two iterate buffers: the step writes into the one not holding the
-    # previous iterate, which must survive for the rollback below
-    spare = np.empty((n, n))
     prev = A
     adj = gradients.Adjacency(A)
-    work = gradients.gradient_workspace(n)
+    work = gradients.gradient_workspace(len(A))
     for step in range(config.iters):
         try:
             G, val = gradients.surrogate_gradient(adj, config.targets, work)
@@ -297,13 +321,16 @@ def _descend(A: np.ndarray, frozen: np.ndarray, config: AttackConfig):
             notes.append(f"stopped at iteration {step}: {exc}")
             break
         objective.append(val)
-        if any_frozen:
+        if frozen is not None:
             G[frozen] = 0.0
         G *= config.lr
-        np.subtract(A, G, out=spare)
-        np.clip(spare, 0.0, 1.0, out=spare)
-        np.fill_diagonal(spare, 0.0)
-        prev, A, spare = A, spare, A
+        np.subtract(A, G, out=G)
+        np.clip(G, 0.0, 1.0, out=G)
+        np.fill_diagonal(G, 0.0)
+        # G holds the new iterate and the old one's buffer becomes the next
+        # call's G: a call that raises has written nothing, so that buffer
+        # still holds the iterate to roll back to
+        work, prev, A = (work[0], A), A, G
         adj.reset(A)
     return A, objective, notes
 
@@ -315,9 +342,13 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     descending (ties lexicographic) and the top b become the budget-b
     flips.
     """
-    iu, ju, a0, _, fp = _pair_space(graph, config)
-    frozen = np.zeros((graph.n, graph.n), dtype=bool)  # shaped as the gradient field
-    frozen[iu[fp], ju[fp]] = frozen[ju[fp], iu[fp]] = True
+    n = graph.n
+    upper, a0, _, fp = _pair_space(graph, config)
+    frozen = None
+    if fp.any():  # shaped as the gradient field
+        frozen = np.zeros((n, n), dtype=bool)
+        frozen[upper] = fp
+        frozen.T[upper] = fp
     A, objective, notes = _descend(graph.dense(), frozen, config)
 
     if len(objective) >= 10:
@@ -328,10 +359,12 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             warnings.warn(msg)
             notes.append(msg)
 
-    diff = np.abs(A[iu, ju] - a0)
+    diff = A[upper]
+    diff -= a0
+    np.abs(diff, out=diff)
     diff[fp] = -1.0
     order = np.argsort(-diff, kind="stable")  # descending diff, ties lexicographic
-    flips = _pair_flips(order[:config.budget_max], iu, ju, a0)
+    flips = _pair_flips(order[:config.budget_max], a0, n)
     flips_by_budget = {b: flips[:b] for b in range(1, config.budget_max + 1)}
     return _finalize_plan(graph, config, "continuous", flips_by_budget, notes=notes)
 
@@ -378,13 +411,33 @@ class _GradientMemo:
 
 def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
     """``flipped[np.argsort(-z[flipped], kind="stable")[:B]]``, sorting only
-    the entries at or above the B-th largest soft value."""
+    the entries above the B-th largest soft value: the entries equal to
+    it follow them in index order, as a stable sort leaves them."""
     zf = z[flipped]
     if 0 < B < len(zf):
         kth = np.partition(zf, len(zf) - B)[len(zf) - B]
-        keep = np.flatnonzero(zf >= kth)
-        flipped, zf = flipped[keep], zf[keep]
+        above = np.flatnonzero(zf > kth)
+        ties = np.flatnonzero(zf == kth)[:B - len(above)]
+        above = above[np.argsort(-zf[above], kind="stable")]
+        return flipped[np.concatenate((above, ties))]
     return flipped[np.argsort(-zf, kind="stable")[:B]]
+
+
+def _initial_z(rng: np.random.Generator, upper: np.ndarray) -> np.ndarray:
+    """BinarizedAttack's starting soft values: the upper-triangle pairs of
+    ``0.25 + rng.uniform(0.0, 0.05, size=(n, n))``, drawn Z_BLOCK_BYTES of
+    uniforms at a time; consecutive row blocks continue the same stream."""
+    n = len(upper)
+    rows = max(1, Z_BLOCK_BYTES // (8 * n))
+    z = np.empty(n * (n - 1) // 2)
+    k = 0
+    for start in range(0, n, rows):
+        block = rng.uniform(0.0, 0.05, size=(min(rows, n - start), n))
+        block += 0.25
+        part = block[upper[start:start + rows]]
+        z[k:k + len(part)] = part
+        k += len(part)
+    return z
 
 
 def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
@@ -398,7 +451,8 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     same surrogate gradient (or the same failure), so it is computed only
     when the pattern changes to one that a memo of MEMO_BYTES, shared by
     all lambdas, does not hold. Only then is the adjacency, with its
-    counts, moved to the pattern, by toggling the pairs that differ.
+    counts, moved to the pattern: by toggling the pairs that differ, or,
+    past RECOUNT_AT * n^2 of them, by rewriting every pair and recounting.
     Every step is a snapshot, across all lambdas in order: for budget b,
     the first snapshot of minimum finite surrogate among those with exactly
     b flipped entries supplies the flips; if no snapshot hit b exactly, the
@@ -410,7 +464,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         raise ValueError("BinarizedAttack requires a nonempty lambda set")
     n = graph.n
     # sign_p is dA/dz through the straight-through estimator
-    iu, ju, a0, sign_p, frozen_p = _pair_space(graph, config)
+    upper, a0, sign_p, frozen_p = _pair_space(graph, config)
     any_frozen = frozen_p.any()
     B = config.budget_max
     # index b: best surrogate so far with exactly / at least b flipped
@@ -420,39 +474,52 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     least_top: list[np.ndarray | None] = [None] * (B + 1)
     memo = _GradientMemo(MEMO_BYTES)
 
-    def pattern_gradient(flipped: np.ndarray) -> tuple[np.ndarray | None, float]:
-        nonlocal shown
+    def pattern_gradient(pattern: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray | None, float]:
         key = flipped.tobytes()
         entry = memo.get(key)
         if entry is None:
-            changed = np.setxor1d(shown, flipped, assume_unique=True)
-            adj.toggle(iu[changed], ju[changed])
-            shown = flipped
+            np.not_equal(pattern, shown, out=shown)  # the pairs adj must toggle
+            if np.count_nonzero(shown) > gradients.RECOUNT_AT * n * n:
+                # write every pair's 0/1 value into both triangles and
+                # recount, which gives the counts toggling would: they are
+                # integers
+                adj.A[upper] = adj.A.T[upper] = a0 ^ pattern
+                adj.reset(adj.A)
+            else:
+                adj.toggle(*_pair_nodes(np.flatnonzero(shown), n))
+            np.copyto(shown, pattern)
             try:
                 G, surr = gradients.surrogate_gradient(adj, config.targets, work)
-                entry = G[iu, ju] * sign_p, surr
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 # flip pattern isolated a target; mark the snapshot unusable
                 # and let the penalty pull the soft variables back down
                 entry = None, math.inf
+            else:
+                gsp = G[upper]
+                gsp *= sign_p
+                entry = gsp, surr
             memo.put(key, *entry)
         return entry
 
     for lam in config.lambdas:
-        adj = work = grad = None  # free the last run's buffers before the n x n draw below
+        adj = work = grad = None  # free the last run's buffers before this run's
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
-        z = (0.25 + rng.uniform(0.0, 0.05, size=(n, n)))[iu, ju]
+        z = _initial_z(rng, upper)
         z[frozen_p] = 0.0
         adj = gradients.Adjacency(graph.dense())
         work = gradients.gradient_workspace(n)
         grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
-        pattern = shown = np.zeros(0, dtype=np.intp)  # shown: the pattern adj holds
-        gsp, surr = pattern_gradient(pattern)
+        # the flip pattern of this step, of the last step and of adj
+        on, pattern, shown = (np.zeros(len(z), dtype=bool) for _ in range(3))
+        flipped = np.flatnonzero(pattern)
+        gsp, surr = pattern_gradient(pattern, flipped)
         for step in range(config.iters + 1):
-            flipped = np.flatnonzero(z >= 0.5)
-            if not np.array_equal(flipped, pattern):
-                pattern = flipped
-                gsp, surr = pattern_gradient(flipped)
+            np.greater_equal(z, 0.5, out=on)
+            if not np.array_equal(on, pattern):
+                on, pattern = pattern, on
+                flipped = np.flatnonzero(pattern)
+                gsp = None  # freed before the next pattern's is gathered
+                gsp, surr = pattern_gradient(pattern, flipped)
             count = len(flipped)
             if math.isfinite(surr):
                 # strict < keeps the first of equal minima
@@ -466,8 +533,9 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
                         exact_surr[count], exact_top[count] = surr, top
             if step == config.iters:
                 break
-            # grad = gsp + lam * sign(z), zeroed where frozen; z -= lr * grad in [0, 1]
-            np.sign(z, out=grad)
+            # grad = gsp + lam * sign(z), zeroed where frozen; z -= lr * grad
+            # in [0, 1]. z is never negative, so sign(z) is [z > 0]
+            np.greater(z, 0.0, out=grad)
             grad *= lam
             if gsp is not None:
                 grad += gsp
@@ -487,7 +555,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         if top is None:
             failed[b] = f"no snapshot reached {b} flipped entries"
             continue
-        flips_by_budget[b] = _pair_flips(top[:b], iu, ju, a0)
+        flips_by_budget[b] = _pair_flips(top[:b], a0, n)
     return _finalize_plan(graph, config, "binarized", flips_by_budget, failed)
 
 

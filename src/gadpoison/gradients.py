@@ -108,7 +108,9 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     together. Diagonal is zero.
 
     ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
-    is one of its buffers, so the next call on it overwrites G.
+    is its second buffer, so the next call on it overwrites G. A call
+    that raises has written to neither buffer: every check comes before
+    the first write.
     """
     A, N = adj.A, adj.N
     n = A.shape[0]

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -16,6 +17,10 @@ from gadpoison.attacks import (
     PerturbationPlan,
     _finalize_plan,
     _GradientMemo,
+    _initial_z,
+    _pair_index,
+    _pair_nodes,
+    _pair_space,
     _top_pairs,
     binarized_attack,
     continuous_a,
@@ -249,6 +254,7 @@ def allocating_continuous_a(graph, config):
 CONTINUOUS_CASES = {
     "er-full-run": (generate_er(12, 0.3, 3), dict(lr=0.05, iters=100)),
     "ba-add-only": (generate_ba(15, 2, 1), dict(lr=0.2, iters=60, allow_delete=False)),
+    "er-delete-only": (generate_er(12, 0.3, 9), dict(lr=0.05, iters=60, allow_add=False)),
     # these stop when a step isolates a target, after 11, 4 and 1 steps
     "ba-rollback-late": (generate_ba(14, 2, 0), dict(lr=1.0, iters=60)),
     "ba-rollback-mid": (generate_ba(15, 2, 1), dict(lr=3.0, iters=60)),
@@ -531,9 +537,14 @@ class TestGradientMemo:
 
 @st.composite
 def soft_pattern(draw):
-    # soft values on a coarse grid with many at exactly 1.0, as after clipping
+    # soft values on a coarse grid with many at exactly 1.0, as after
+    # clipping, or all equal, as when every flipped value saturates
     values = st.one_of(st.just(1.0), st.integers(50, 60).map(lambda k: k / 100))
-    z = np.array(draw(st.lists(values, min_size=1, max_size=40)))
+    size = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        z = np.full(size, draw(values))
+    else:
+        z = np.array(draw(st.lists(values, min_size=size, max_size=size)))
     flipped = np.flatnonzero(z >= 0.5)
     picked = draw(st.lists(st.sampled_from(flipped.tolist()), unique=True)) if len(flipped) else []
     return z, np.array(sorted(picked), dtype=np.intp), draw(st.integers(0, 45))
@@ -553,6 +564,104 @@ class TestTopPairs:
         assert _top_pairs(flipped, z, 3).tolist() == [0, 2, 3]
         assert _top_pairs(flipped, z, 5).tolist() == [0, 2, 3, 5, 4]
         assert _top_pairs(flipped, z, 9).tolist() == [0, 2, 3, 5, 4, 1]
+
+    @pytest.mark.parametrize("B, expected", [(0, []), (4, [1, 2, 4, 5]), (6, [1, 2, 4, 5, 6, 8]),
+                                             (9, [1, 2, 4, 5, 6, 8])])
+    def test_all_tied(self, B, expected):
+        flipped = np.array([1, 2, 4, 5, 6, 8])
+        assert _top_pairs(flipped, np.ones(9), B).tolist() == expected
+
+
+class TestPairAddressing:
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_mask_lists_pairs_in_triu_order(self, n):
+        g = generate_er(n, 0.3, n)
+        upper, a0, _, _ = _pair_space(g, AttackConfig(budget_max=1, targets=(0,)))
+        M = np.random.default_rng(n).random((n, n))
+        assert np.array_equal(M[upper], M[np.triu_indices(n, 1)])
+        assert np.array_equal(a0, g.dense()[np.triu_indices(n, 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60))
+    def test_index_to_nodes_round_trips(self, n):
+        k = np.arange(n * (n - 1) // 2)
+        p, q = _pair_nodes(k, n)
+        iu, ju = np.triu_indices(n, 1)
+        assert np.array_equal(p, iu) and np.array_equal(q, ju)
+        assert np.array_equal(_pair_index(p, q, n), k)
+
+    def test_index_near_2_31_round_trips(self):
+        # p (2n - p - 1) reaches 2^32 here, past int32
+        n = 65_536
+        k = np.array([0, 2**31 - 2**20 - 1, n * (n - 1) // 2 - 1])
+        p, q = _pair_nodes(k, n)
+        assert [p[-1], q[-1]] == [n - 2, n - 1]
+        assert np.all(p < q) and np.all(q < n)
+        assert [a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in zip(p.tolist(), q.tolist())] == k.tolist()
+        assert np.array_equal(_pair_index(p, q, n), k)
+
+
+class TestInitialDraw:
+    # n = 30: blocks of one row, of 7 rows (not a divisor of 30), of more
+    # rows than n; n = 400 with the default block takes two blocks
+    @pytest.mark.parametrize("n, rows", [(30, 1), (30, 7), (30, 45), (400, None)])
+    def test_row_blocks_equal_one_draw(self, n, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(attacks, "Z_BLOCK_BYTES", 8 * n * rows)
+        upper = np.less.outer(np.arange(n), np.arange(n))
+        whole = 0.25 + derive_rng(5, "draw").uniform(0.0, 0.05, size=(n, n))
+        assert np.array_equal(_initial_z(derive_rng(5, "draw"), upper), whole[np.triu_indices(n, 1)])
+
+
+class TestPeakMemory:
+    """Under tracemalloc, each attack on BA(600, 5) peaks below its design
+    plus 10 %: four n x n float64 matrices (the adjacency, its square and
+    the two workspace buffers; for ContinuousA the two iterate buffers, the
+    square and one workspace buffer), the n x n pair mask, and the bytes
+    per pair each attack lists below."""
+
+    n = 600
+    # per pair: a0, sign_p and frozen_p (3 bytes) plus, for
+    #   gradmax: movable, is_edge, the gathered gain, valid and ~valid;
+    #   binarized: z, gsp, three flip patterns, their comparison, and at
+    #   most every pair flipped, as indices and as the memo key; plus the
+    #   memo itself, MEMO_BYTES
+    CASES = {
+        "gradmax": ("gradmax", dict(budget_max=5), 3 + 1 + 1 + 8 + 1 + 1),
+        "continuous": ("continuous", dict(budget_max=5, iters=3, lr=1e-4), 3),
+        "binarized": ("binarized", dict(budget_max=5, iters=5), 3 + 8 + 8 + 3 + 1 + 16),
+        # steps of 100 drive the soft values to 0 or 1
+        "binarized-saturating": ("binarized", dict(budget_max=5, iters=5, lr=100.0),
+                                 3 + 8 + 8 + 3 + 1 + 16),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_peak_within_design(self, case, monkeypatch):
+        attack, kwargs, per_pair = self.CASES[case]
+        n = self.n
+        g = generate_ba(n, 5, 0)
+        cfg = AttackConfig(targets=tuple(rank_top_k(score_graph(g), 5)), lambdas=(1e-3,), **kwargs)
+        design = 4 * 8 * n * n + n * n + per_pair * n * (n - 1) // 2
+        if attack == "binarized":
+            design += attacks.MEMO_BYTES
+        tracemalloc.start()
+        try:
+            ATTACKS[attack](g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * design
+        if case == "binarized-saturating":
+            tied = []  # flipped soft values at 1.0 each time the top pairs are taken
+            inner = attacks._top_pairs
+
+            def counted(flipped, z, B):
+                tied.append(int(np.sum(z[flipped] == 1.0)))
+                return inner(flipped, z, B)
+
+            monkeypatch.setattr(attacks, "_top_pairs", counted)
+            ATTACKS[attack](g, cfg)
+            assert max(tied) > n * (n - 1) // 20  # a tenth of the pairs tie at 1.0
 
 
 class TestConfigValidation:

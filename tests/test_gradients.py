@@ -371,6 +371,25 @@ class TestWorkspace:
         assert v == v0 == 0.0
         assert np.array_equal(G, G0) and not G.any()
 
+    @pytest.mark.parametrize("error", [IsolatedTarget, NodeVanished, DegenerateFit])
+    def test_raising_call_writes_neither_buffer(self, error):
+        # ContinuousA rolls back to the iterate it keeps in the G buffer
+        A, targets = binary_ba(30, 2, 4), [7]
+        if error is IsolatedTarget:
+            A[7, :] = A[:, 7] = 0.0
+        elif error is NodeVanished:
+            A[7, :] = A[:, 7] = 0.0
+            A[7, 0] = A[0, 7] = 1e-7
+        else:  # on a 30-cycle every degree is 2
+            A = np.roll(np.eye(30), 1, axis=1)
+            A += A.T
+        rng = np.random.default_rng(0)
+        work = (rng.random((30, 30)), rng.random((30, 30)))
+        before = [buf.tobytes() for buf in work]
+        with pytest.raises(error):
+            gradient_of(A, targets, work)
+        assert [buf.tobytes() for buf in work] == before
+
     def test_reuse_after_isolated_target(self):
         A = binary_ba(30, 2, 4)
         iso = A.copy()
