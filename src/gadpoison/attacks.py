@@ -29,7 +29,7 @@ DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
 # bytes of remembered gradients, keys included, that one BinarizedAttack
 # call may hold; past n = 725 a single pair vector exceeds it
 MEMO_BYTES = 2 << 20
-# bytes of uniforms BinarizedAttack's initial soft values are drawn from at a time
+# bytes of soft values BinarizedAttack draws, or scans for its top pairs, at a time
 Z_BLOCK_BYTES = 1 << 20
 
 
@@ -411,16 +411,33 @@ class _GradientMemo:
 
 def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
     """``flipped[np.argsort(-z[flipped], kind="stable")[:B]]``, sorting only
-    the entries above the B-th largest soft value: the entries equal to
-    it follow them in index order, as a stable sort leaves them."""
+    the entries above the B-th largest soft value: the first entries equal
+    to it follow them in index order, as a stable sort leaves them.
+
+    One gather of the flipped soft values is held, to find that value by
+    an in-place partition; the entries above it and the ties are then
+    picked Z_BLOCK_BYTES of soft values at a time, at most B of each.
+    """
     zf = z[flipped]
-    if 0 < B < len(zf):
-        kth = np.partition(zf, len(zf) - B)[len(zf) - B]
-        above = np.flatnonzero(zf > kth)
-        ties = np.flatnonzero(zf == kth)[:B - len(above)]
-        above = above[np.argsort(-zf[above], kind="stable")]
-        return flipped[np.concatenate((above, ties))]
-    return flipped[np.argsort(-zf, kind="stable")[:B]]
+    if not 0 < B < len(zf):
+        return flipped[np.argsort(-zf, kind="stable")[:B]]
+    zf.partition(len(zf) - B)
+    kth = zf[len(zf) - B]
+    del zf
+    above, ties = [], []
+    room = B  # at most B - |above| ties are taken, and |above| < B
+    step = Z_BLOCK_BYTES // 8
+    for start in range(0, len(flipped), step):
+        part = flipped[start:start + step]
+        zp = z[part]
+        above.append(part[zp > kth])
+        room -= len(above[-1])
+        if room > 0:
+            ties.append(part[zp == kth][:room])
+            room -= len(ties[-1])
+    above = np.concatenate(above)
+    above = above[np.argsort(-z[above], kind="stable")]
+    return np.concatenate((above, *ties))[:B]
 
 
 def _initial_z(rng: np.random.Generator, upper: np.ndarray) -> np.ndarray:
@@ -508,7 +525,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         z[frozen_p] = 0.0
         adj = gradients.Adjacency(graph.dense())
         work = gradients.gradient_workspace(n)
-        grad = work[0].reshape(-1)[:len(z)]  # scratch: gsp is copied out of G
+        grad = work[1].reshape(-1)[:len(z)]  # G's buffer: gsp is copied out of G
         # the flip pattern of this step, of the last step and of adj
         on, pattern, shown = (np.zeros(len(z), dtype=bool) for _ in range(3))
         flipped = np.flatnonzero(pattern)

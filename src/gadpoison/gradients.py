@@ -26,6 +26,38 @@ TAU_N = 1e-6
 # 1000 (2 cores, OpenBLAS), which n^2 / 1000 follows within a factor of 2
 RECOUNT_AT = 1e-3
 
+# bytes of one row block of the symmetric n x n products A @ A and A^T C A,
+# which are computed by upper block rows; the gradient's scratch holds one
+# block of C A and then of its elementwise tail. Of 0.5 to 16 MiB, 2 and
+# 3 MiB gave the fastest calls at n = 1000 (2 cores, OpenBLAS); 8 MiB was
+# faster at n = 3000, where fewer, larger blocks keep the BLAS efficient
+BLOCK_BYTES = 2 << 20
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of the symmetric products at n nodes."""
+    return min(n, max(1, BLOCK_BYTES // (8 * n)))
+
+
+def _symmetric_product(out: np.ndarray, left, right: np.ndarray, then=None) -> None:
+    """Fill the symmetric n x n ``out`` = L @ ``right`` by upper block rows.
+
+    For each block s:e of ``_block_rows(n)`` rows, out[s:e, s:] =
+    left(s, e) @ right[:, s:], where left(s, e) returns L[s:e]; the
+    block's strictly-lower part out[e:, s:e] is then copied from its
+    transpose, and then(s, e), if given, runs once rows s:e are whole.
+    That computes each pair's entry once, and with one block (n <= rows)
+    it is the plain product L @ right.
+    """
+    n = len(out)
+    rows = _block_rows(n)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        np.matmul(left(s, e), right[:, s:], out=out[s:e, s:])
+        out[e:, s:e] = out[s:e, e:].T
+        if then is not None:
+            then(s, e)
+
 
 class Adjacency:
     """A symmetric n x n adjacency A with the two counts the surrogate's
@@ -54,7 +86,8 @@ class Adjacency:
         if not self._current:
             if self._square is None:
                 self._square = np.empty(self.A.shape)
-            np.matmul(self.A, self.A, out=self._square)
+            A = self.A
+            _symmetric_product(self._square, lambda s, e: A[s:e], A)
             self._current = True
         return self._square
 
@@ -85,12 +118,14 @@ class Adjacency:
 
 
 def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two n x n float64 buffers one ``surrogate_gradient`` call needs.
+    """The float64 buffers one ``surrogate_gradient`` call needs: a flat
+    scratch of ``_block_rows(n)`` x n values (BLOCK_BYTES, or n x n when
+    one block covers the graph) and the n x n gradient field G.
 
     No call reads what an earlier call left in them, so between calls a
     caller may use them as scratch (after it is done with the returned G).
     """
-    return np.empty((n, n)), np.empty((n, n))
+    return np.empty(_block_rows(n) * n), np.empty((n, n))
 
 
 def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float]:
@@ -110,11 +145,14 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
     is its second buffer, so the next call on it overwrites G. A call
     that raises has written to neither buffer: every check comes before
-    the first write.
+    the first write. The two symmetric n x n products, the square and
+    A^T C A, are computed by upper block rows, so each pair's entry is
+    computed once; G's elementwise tail is applied to each row block as
+    it is completed, with the same roundings per element as in one pass.
     """
     A, N = adj.A, adj.N
     n = A.shape[0]
-    B, G = work
+    W, G = work
     if len(targets) == 0:
         G.fill(0.0)
         return G, 0.0
@@ -175,14 +213,21 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     #   dD_i/d(pair pq) = 2*[i=p or i=q]*(A^2)_pq + 2*A_ip*A_iq
     # G = (dL_dN_p + dL_dN_q) + 2 (A^T C A)_pq + 2 (A^2)_pq (c_p + c_q), built
     # in place with the same roundings per element as that expression
-    np.multiply(A, c[:, None], out=B)
-    np.matmul(B.T, A, out=G)  # sum_i c_i A_ip A_iq, symmetric
-    G *= 2.0
-    np.add(dL_dN[:, None], dL_dN[None, :], out=B)
-    G += B
-    np.add(c[:, None], c[None, :], out=B)
-    B *= 2.0
-    B *= adj.square
-    G += B
+    S = adj.square
+
+    def ca_columns(s, e):  # (A^T C)[s:e], from columns s:e of C A in W
+        return np.multiply(A[:, s:e], c[:, None], out=W[:n * (e - s)].reshape(n, e - s)).T
+
+    def tail(s, e):  # rows s:e of G hold sum_i c_i A_ip A_iq; W is free again
+        g, tmp = G[s:e], W[:(e - s) * n].reshape(e - s, n)
+        g *= 2.0
+        np.add(dL_dN[s:e, None], dL_dN[None, :], out=tmp)
+        g += tmp
+        np.add(c[s:e, None], c[None, :], out=tmp)
+        tmp *= 2.0
+        tmp *= S[s:e]
+        g += tmp
+
+    _symmetric_product(G, ca_columns, A, tail)
     np.fill_diagonal(G, 0.0)
     return G, value

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -558,6 +559,14 @@ class TestTopPairs:
         expected = flipped[np.argsort(-z[flipped], kind="stable")[:B]]
         assert np.array_equal(_top_pairs(flipped, z, B), expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(soft_pattern(), st.integers(1, 8))
+    def test_scan_in_blocks_of_few_entries(self, case, entries):
+        z, flipped, B = case
+        expected = flipped[np.argsort(-z[flipped], kind="stable")[:B]]
+        with mock.patch.object(attacks, "Z_BLOCK_BYTES", 8 * entries):
+            assert np.array_equal(_top_pairs(flipped, z, B), expected)
+
     def test_ties_at_the_cut_keep_index_order(self):
         z = np.array([1.0, 0.7, 1.0, 1.0, 0.9, 1.0])
         flipped = np.arange(6)
@@ -615,10 +624,10 @@ class TestInitialDraw:
 
 class TestPeakMemory:
     """Under tracemalloc, each attack on BA(600, 5) peaks below its design
-    plus 10 %: four n x n float64 matrices (the adjacency, its square and
-    the two workspace buffers; for ContinuousA the two iterate buffers, the
-    square and one workspace buffer), the n x n pair mask, and the bytes
-    per pair each attack lists below."""
+    plus 10 %: three n x n float64 matrices (the adjacency, its square and
+    the workspace's G; for ContinuousA the two iterate buffers and the
+    square), the workspace's row-block scratch, the n x n pair mask, and
+    the bytes per pair each attack lists below."""
 
     n = 600
     # per pair: a0, sign_p and frozen_p (3 bytes) plus, for
@@ -641,7 +650,9 @@ class TestPeakMemory:
         n = self.n
         g = generate_ba(n, 5, 0)
         cfg = AttackConfig(targets=tuple(rank_top_k(score_graph(g), 5)), lambdas=(1e-3,), **kwargs)
-        design = 4 * 8 * n * n + n * n + per_pair * n * (n - 1) // 2
+        scratch = 8 * gradients._block_rows(n) * n
+        assert scratch < 8 * n * n  # the bound is tighter than four n x n matrices
+        design = 3 * 8 * n * n + scratch + n * n + per_pair * n * (n - 1) // 2
         if attack == "binarized":
             design += attacks.MEMO_BYTES
         tracemalloc.start()

@@ -384,7 +384,7 @@ class TestWorkspace:
             A = np.roll(np.eye(30), 1, axis=1)
             A += A.T
         rng = np.random.default_rng(0)
-        work = (rng.random((30, 30)), rng.random((30, 30)))
+        work = tuple(rng.random(buf.shape) for buf in gradients.gradient_workspace(30))
         before = [buf.tobytes() for buf in work]
         with pytest.raises(error):
             gradient_of(A, targets, work)
@@ -401,6 +401,46 @@ class TestWorkspace:
         G, v = gradient_of(iso, [3], work)
         G0, v0 = fresh_gradient(iso, [3])
         assert np.array_equal(G, G0) and v == v0
+
+
+class TestBlockedProducts:
+    """The square and A^T C A computed by upper row blocks of 7 and 45 rows:
+    2 to 29 blocks, each layout ending in a shorter block."""
+
+    @pytest.fixture(params=[(60, 7), (60, 45), (200, 7), (200, 45)], ids=lambda c: f"n{c[0]}-rows{c[1]}")
+    def blocked(self, request, monkeypatch):
+        n, rows = request.param
+        monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * n * rows)
+        assert gradients._block_rows(n) == rows
+        assert gradients.gradient_workspace(n)[0].size == rows * n
+        return n
+
+    @pytest.mark.parametrize("model", ["ba", "er"])
+    def test_binary_square_is_exact(self, blocked, model):
+        n = blocked
+        A = generate(model, n, n, p=0.1, m=3).dense()
+        square = gradients.Adjacency(A).square
+        # integer entries: any summation order gives A @ A bit for bit
+        assert np.array_equal(square, A @ A)
+        assert np.array_equal(square, square.T)
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["binary", "relaxed"])
+    def test_field_matches_allocating_reference(self, blocked, relaxed):
+        n = blocked
+        A = jittered_er(n, 0.1, n) if relaxed else binary_ba(n, 3, n)
+        targets = [0, 5, n // 2]
+        adj = gradients.Adjacency(A)
+        G, v = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n))
+        Gr, vr = allocating_gradient(A, targets)
+        assert v == vr
+        np.testing.assert_allclose(G, Gr, rtol=1e-12, atol=0)
+        # below the diagonal blocks, which the products compute whole, each
+        # block is the copy of its transpose above them
+        rows = gradients._block_rows(n)
+        for s in range(0, n, rows):
+            e = s + rows
+            for X in (G, adj.square):
+                assert np.array_equal(X[e:, s:e], X[s:e, e:].T)
 
 
 class TestLassoLinearity:
