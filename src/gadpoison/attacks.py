@@ -222,6 +222,18 @@ def _pair_space(graph: Graph, config: AttackConfig):
     return upper, a0, 1 - 2 * a0.astype(np.int8), frozen_p
 
 
+def _set_pairs(A: np.ndarray, upper: np.ndarray, values) -> None:
+    """Write a pair vector into both triangles of the symmetric A: the
+    upper one through ``upper``, the lower one copied from it by blocks of
+    ``gradients._block_rows`` rows. The diagonal is left as it is."""
+    A[upper] = values
+    rows = gradients._block_rows(len(A))
+    for s in range(0, len(A), rows):
+        e, tri = s + rows, upper[s:s + rows, s:s + rows]
+        A[e:, s:e] = A[s:e, e:].T
+        A[s:e, s:e].T[tri] = A[s:e, s:e][tri]
+
+
 def _pair_index(p, q, n: int):
     """The lexicographic index of each pair {p < q} of n nodes."""
     return p * (2 * n - p - 1) // 2 + q - p - 1
@@ -266,12 +278,12 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     chosen: list[int] = []
     notes: list[str] = []
     work = gradients.gradient_workspace(n)
+    gain = np.empty(len(a0))
 
     for _ in range(config.budget_max):
-        G, _ = gradients.surrogate_gradient(adj, config.targets, work)
+        gradients.surrogate_gradient(adj, config.targets, work, gain)
         # the first-order decrease of a pair's flip: adding a non-edge
         # needs a negative gradient, deleting an edge a positive one
-        gain = G[upper]
         gain *= sign_p
         np.negative(gain, out=gain)
         valid = gain > 0
@@ -284,7 +296,7 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         if not np.isfinite(gain[best]):
             notes.append(f"NoValidMove after {len(chosen)} flips; plan truncated")
             break
-        del gain, valid  # freed before the next step's gather
+        del valid  # freed before the next step's
         adj.toggle(*_pair_nodes([best], n))
         movable[best] = False
         chosen.append(best)
@@ -298,41 +310,43 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- ContinuousA ---------------------------------------------------------
 
 
-def _descend(A: np.ndarray, frozen: np.ndarray | None, config: AttackConfig):
+def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
+             config: AttackConfig):
     """ContinuousA's projected gradient steps from A, whose buffer the
-    descent takes over; ``frozen`` is an n x n mask of pairs that stay
-    put, or None.
+    descent takes over; ``frozen`` masks the pairs that stay put, or is
+    None.
 
-    Returns the last iterate whose objective is defined, the objective
-    history and a note if the descent stopped early. The other iterate
-    buffer, the square and the gradient workspace are freed on return.
+    The iterate's pairs live in two pair vectors that take turns with the
+    gradient, and each step rewrites both triangles of A from them, so A
+    stays exactly symmetric. Returns the pairs of the last iterate whose
+    objective is defined, the objective history and a note if the descent
+    stopped early.
     """
     objective, notes = [], []
-    prev = A
+    a = A[upper]
+    g = a.copy()  # the iterate before a: a rollback from the first step keeps a
     adj = gradients.Adjacency(A)
     work = gradients.gradient_workspace(len(A))
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(adj, config.targets, work)
+            val = gradients.surrogate_gradient(adj, config.targets, work, g)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
-            # last valid point rather than silently repairing the descent
-            A = prev
+            # last valid point rather than silently repairing the descent.
+            # A call that raises writes nothing, so g still holds it
+            a = g
             notes.append(f"stopped at iteration {step}: {exc}")
             break
         objective.append(val)
         if frozen is not None:
-            G[frozen] = 0.0
-        G *= config.lr
-        np.subtract(A, G, out=G)
-        np.clip(G, 0.0, 1.0, out=G)
-        np.fill_diagonal(G, 0.0)
-        # G holds the new iterate and the old one's buffer becomes the next
-        # call's G: a call that raises has written nothing, so that buffer
-        # still holds the iterate to roll back to
-        work, prev, A = (work[0], A), A, G
+            g[frozen] = 0.0
+        g *= config.lr
+        np.subtract(a, g, out=g)
+        np.clip(g, 0.0, 1.0, out=g)
+        a, g = g, a
+        _set_pairs(A, upper, a)
         adj.reset(A)
-    return A, objective, notes
+    return a, objective, notes
 
 
 def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
@@ -343,13 +357,9 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     flips.
     """
     n = graph.n
-    upper, a0, _, fp = _pair_space(graph, config)
-    frozen = None
-    if fp.any():  # shaped as the gradient field
-        frozen = np.zeros((n, n), dtype=bool)
-        frozen[upper] = fp
-        frozen.T[upper] = fp
-    A, objective, notes = _descend(graph.dense(), frozen, config)
+    upper, a0, sign_p, fp = _pair_space(graph, config)
+    del sign_p  # unused here: freed before the descent
+    diff, objective, notes = _descend(graph.dense(), upper, fp if fp.any() else None, config)
 
     if len(objective) >= 10:
         tail = objective[-max(1, len(objective) // 10):]
@@ -359,7 +369,6 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             warnings.warn(msg)
             notes.append(msg)
 
-    diff = A[upper]
     diff -= a0
     np.abs(diff, out=diff)
     diff[fp] = -1.0
@@ -373,7 +382,7 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 
 
 class _GradientMemo:
-    """Byte-bounded LRU map from a flip pattern's bytes to its (gsp,
+    """Byte-bounded LRU map from a flip pattern's packed bits to its (gsp,
     surrogate), where gsp is None for a pattern whose objective failed.
 
     An entry costs its key's bytes plus its gsp's. Storing evicts the
@@ -491,8 +500,8 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     least_top: list[np.ndarray | None] = [None] * (B + 1)
     memo = _GradientMemo(MEMO_BYTES)
 
-    def pattern_gradient(pattern: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray | None, float]:
-        key = flipped.tobytes()
+    def pattern_gradient(pattern: np.ndarray) -> tuple[np.ndarray | None, float]:
+        key = np.packbits(pattern).tobytes()  # n(n-1)/16 bytes, one key per pattern
         entry = memo.get(key)
         if entry is None:
             np.not_equal(pattern, shown, out=shown)  # the pairs adj must toggle
@@ -500,19 +509,19 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
                 # write every pair's 0/1 value into both triangles and
                 # recount, which gives the counts toggling would: they are
                 # integers
-                adj.A[upper] = adj.A.T[upper] = a0 ^ pattern
+                _set_pairs(adj.A, upper, a0 ^ pattern)
                 adj.reset(adj.A)
             else:
                 adj.toggle(*_pair_nodes(np.flatnonzero(shown), n))
             np.copyto(shown, pattern)
+            gsp = np.empty(len(pattern))
             try:
-                G, surr = gradients.surrogate_gradient(adj, config.targets, work)
+                surr = gradients.surrogate_gradient(adj, config.targets, work, gsp)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 # flip pattern isolated a target; mark the snapshot unusable
                 # and let the penalty pull the soft variables back down
                 entry = None, math.inf
             else:
-                gsp = G[upper]
                 gsp *= sign_p
                 entry = gsp, surr
             memo.put(key, *entry)
@@ -525,18 +534,18 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         z[frozen_p] = 0.0
         adj = gradients.Adjacency(graph.dense())
         work = gradients.gradient_workspace(n)
-        grad = work[1].reshape(-1)[:len(z)]  # G's buffer: gsp is copied out of G
+        grad = work[0]  # the z-step's scratch between gradient calls
         # the flip pattern of this step, of the last step and of adj
         on, pattern, shown = (np.zeros(len(z), dtype=bool) for _ in range(3))
         flipped = np.flatnonzero(pattern)
-        gsp, surr = pattern_gradient(pattern, flipped)
+        gsp, surr = pattern_gradient(pattern)
         for step in range(config.iters + 1):
             np.greater_equal(z, 0.5, out=on)
             if not np.array_equal(on, pattern):
                 on, pattern = pattern, on
                 flipped = np.flatnonzero(pattern)
-                gsp = None  # freed before the next pattern's is gathered
-                gsp, surr = pattern_gradient(pattern, flipped)
+                gsp = None  # freed before the next pattern's is computed
+                gsp, surr = pattern_gradient(pattern)
             count = len(flipped)
             if math.isfinite(surr):
                 # strict < keeps the first of equal minima
@@ -551,16 +560,19 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             if step == config.iters:
                 break
             # grad = gsp + lam * sign(z), zeroed where frozen; z -= lr * grad
-            # in [0, 1]. z is never negative, so sign(z) is [z > 0]
-            np.greater(z, 0.0, out=grad)
-            grad *= lam
-            if gsp is not None:
-                grad += gsp
-            if any_frozen:
-                grad[frozen_p] = 0.0
-            grad *= config.lr
-            np.subtract(z, grad, out=z)
-            np.clip(z, 0.0, 1.0, out=z)
+            # in [0, 1], a workspace block at a time. z is never negative,
+            # so sign(z) is [z > 0]
+            for k in range(0, len(z), len(grad)):
+                zk, gk = z[k:k + len(grad)], grad[:len(z) - k]
+                np.greater(zk, 0.0, out=gk)
+                gk *= lam
+                if gsp is not None:
+                    gk += gsp[k:k + len(gk)]
+                if any_frozen:
+                    gk[frozen_p[k:k + len(gk)]] = 0.0
+                gk *= config.lr
+                np.subtract(zk, gk, out=zk)
+                np.clip(zk, 0.0, 1.0, out=zk)
 
     flips_by_budget: dict[int, list[EdgeFlip]] = {}
     failed: dict[int, str] = {}

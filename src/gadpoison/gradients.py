@@ -27,36 +27,19 @@ TAU_N = 1e-6
 RECOUNT_AT = 1e-3
 
 # bytes of one row block of the symmetric n x n products A @ A and A^T C A,
-# which are computed by upper block rows; the gradient's scratch holds one
-# block of C A and then of its elementwise tail. Of 0.5 to 16 MiB, 2 and
-# 3 MiB gave the fastest calls at n = 1000 (2 cores, OpenBLAS); 8 MiB was
-# faster at n = 3000, where fewer, larger blocks keep the BLAS efficient
+# which are computed by upper block rows; the gradient's workspace holds
+# two blocks, the left operand C A and the product with its elementwise
+# tail. Of 0.5 to 16 MiB, 2 and 3 MiB gave the fastest calls at n = 1000
+# (2 cores, OpenBLAS). Past n = 1024 a block keeps MIN_BLOCK_ROWS rows
+# instead: blocks of fewer rows keep the BLAS less efficient, and one call
+# at n = 3000 took 1,050 ms with 87-row blocks against 913 ms with 256
 BLOCK_BYTES = 2 << 20
+MIN_BLOCK_ROWS = 256
 
 
 def _block_rows(n: int) -> int:
     """Rows per block of the symmetric products at n nodes."""
-    return min(n, max(1, BLOCK_BYTES // (8 * n)))
-
-
-def _symmetric_product(out: np.ndarray, left, right: np.ndarray, then=None) -> None:
-    """Fill the symmetric n x n ``out`` = L @ ``right`` by upper block rows.
-
-    For each block s:e of ``_block_rows(n)`` rows, out[s:e, s:] =
-    left(s, e) @ right[:, s:], where left(s, e) returns L[s:e]; the
-    block's strictly-lower part out[e:, s:e] is then copied from its
-    transpose, and then(s, e), if given, runs once rows s:e are whole.
-    That computes each pair's entry once, and with one block (n <= rows)
-    it is the plain product L @ right.
-    """
-    n = len(out)
-    rows = _block_rows(n)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        np.matmul(left(s, e), right[:, s:], out=out[s:e, s:])
-        out[e:, s:e] = out[s:e, e:].T
-        if then is not None:
-            then(s, e)
+    return min(n, max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * n)))
 
 
 class Adjacency:
@@ -86,8 +69,14 @@ class Adjacency:
         if not self._current:
             if self._square is None:
                 self._square = np.empty(self.A.shape)
-            A = self.A
-            _symmetric_product(self._square, lambda s, e: A[s:e], A)
+            A, S = self.A, self._square
+            rows = _block_rows(len(A))
+            # upper block rows, each block's strictly-lower part copied from
+            # its transpose: with one block (n <= rows) this is A @ A
+            for s in range(0, len(A), rows):
+                e = s + rows
+                np.matmul(A[s:e], A[:, s:], out=S[s:e, s:])
+                S[e:, s:e] = S[s:e, e:].T
             self._current = True
         return self._square
 
@@ -118,19 +107,22 @@ class Adjacency:
 
 
 def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 buffers one ``surrogate_gradient`` call needs: a flat
-    scratch of ``_block_rows(n)`` x n values (BLOCK_BYTES, or n x n when
-    one block covers the graph) and the n x n gradient field G.
+    """The float64 buffers one ``surrogate_gradient`` call needs: two flat
+    row blocks of ``_block_rows(n)`` x n values each, for the left operand
+    of a block's product and then for the product (n x n when one block
+    covers the graph, BLOCK_BYTES up to n = 1024, MIN_BLOCK_ROWS rows past
+    it).
 
     No call reads what an earlier call left in them, so between calls a
-    caller may use them as scratch (after it is done with the returned G).
+    caller may use them as scratch.
     """
-    return np.empty(_block_rows(n) * n), np.empty((n, n))
+    rows = _block_rows(n)
+    return np.empty(rows * n), np.empty(rows * n)
 
 
-def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float]:
-    """Exact partials of the attack objective per unordered pair {i, j},
-    and the objective's value.
+def surrogate_gradient(adj: Adjacency, targets, work, out: np.ndarray) -> float:
+    """Write the exact partials of the attack objective per unordered pair
+    {i, j} into ``out`` and return the objective's value.
 
     The objective is ``oddball.surrogate_objective`` of the relaxed
     features N = A.sum(1), E = N + diag(A^3)/2 of ``adj.A``: the sum over
@@ -138,24 +130,23 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     by ``oddball.fit_ols`` to those features. The value equals it bit for
     bit.
 
-    The returned field G is an n x n symmetric matrix whose (i, j) entry
-    is dL/d(pair ij), the derivative when both A_ij and A_ji move
-    together. Diagonal is zero.
+    ``out`` is a float64 pair vector of n(n-1)/2 entries in
+    ``np.triu_indices`` order, the order in which ``M[upper]`` lists an
+    n x n matrix's strict upper triangle; entry (i, j) is dL/d(pair ij),
+    the derivative when both A_ij and A_ji move together.
 
-    ``work`` is a ``gradient_workspace(n)`` to compute in. The returned G
-    is its second buffer, so the next call on it overwrites G. A call
-    that raises has written to neither buffer: every check comes before
-    the first write. The two symmetric n x n products, the square and
-    A^T C A, are computed by upper block rows, so each pair's entry is
-    computed once; G's elementwise tail is applied to each row block as
-    it is completed, with the same roundings per element as in one pass.
+    ``work`` is a ``gradient_workspace(n)`` to compute in. A call that
+    raises has written to neither ``out`` nor ``work``: every check comes
+    before the first write. A^T C A is computed by upper block rows, one
+    row block of the symmetric gradient field at a time: its elementwise
+    tail is applied to the block, whose strict-upper entries are then
+    copied into ``out``, so no n x n field is held.
     """
     A, N = adj.A, adj.N
     n = A.shape[0]
-    W, G = work
     if len(targets) == 0:
-        G.fill(0.0)
-        return G, 0.0
+        out.fill(0.0)
+        return 0.0
     # every precondition depends on N alone: check them before the square
     mask = np.flatnonzero(N > 0)  # fit_ols's mask
     if len(mask) < 2:
@@ -212,22 +203,29 @@ def surrogate_gradient(adj: Adjacency, targets, work) -> tuple[np.ndarray, float
     # chain onto pair variables: N gives rank-one terms, D gives
     #   dD_i/d(pair pq) = 2*[i=p or i=q]*(A^2)_pq + 2*A_ip*A_iq
     # G = (dL_dN_p + dL_dN_q) + 2 (A^T C A)_pq + 2 (A^2)_pq (c_p + c_q), built
-    # in place with the same roundings per element as that expression
+    # in place by upper row blocks s:e, columns s:, with the same roundings
+    # per element as that expression
     S = adj.square
-
-    def ca_columns(s, e):  # (A^T C)[s:e], from columns s:e of C A in W
-        return np.multiply(A[:, s:e], c[:, None], out=W[:n * (e - s)].reshape(n, e - s)).T
-
-    def tail(s, e):  # rows s:e of G hold sum_i c_i A_ip A_iq; W is free again
-        g, tmp = G[s:e], W[:(e - s) * n].reshape(e - s, n)
+    L, P = work
+    rows = _block_rows(n)
+    strip = max(1, 8192 // n)  # rows gathered at once: their copy is at most 64 KiB
+    tri = np.less.outer(np.arange(strip), np.arange(n))  # a strip's pairs, from its diagonal
+    k = 0  # pairs written to out
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        ca = np.multiply(A[:, s:e], c[:, None], out=L[:n * (e - s)].reshape(n, e - s))
+        g = np.matmul(ca.T, A[:, s:], out=P[:(e - s) * (n - s)].reshape(e - s, n - s))
+        tmp = L[:g.size].reshape(g.shape)  # the left operand is no longer read
         g *= 2.0
-        np.add(dL_dN[s:e, None], dL_dN[None, :], out=tmp)
+        np.add(dL_dN[s:e, None], dL_dN[None, s:], out=tmp)
         g += tmp
-        np.add(c[s:e, None], c[None, :], out=tmp)
+        np.add(c[s:e, None], c[None, s:], out=tmp)
         tmp *= 2.0
-        tmp *= S[s:e]
+        tmp *= S[s:e, s:]
         g += tmp
-
-    _symmetric_product(G, ca_columns, A, tail)
-    np.fill_diagonal(G, 0.0)
-    return G, value
+        for i in range(0, e - s, strip):  # rows s+i on, from their diagonal
+            part = g[i:i + strip, i:]
+            part = part[tri[:len(part), :part.shape[1]]]
+            out[k:k + len(part)] = part
+            k += len(part)
+    return value

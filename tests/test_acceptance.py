@@ -30,7 +30,7 @@ from gadpoison.graph import (
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
 from gadpoison.stats import permutation_test
 from gadpoison.transfer import PipelineConfig, run_transfer_attack
-from test_gradients import fd_pair_gradient, jittered_er
+from test_gradients import fd_pair_gradient, fresh_gradient, jittered_er
 from test_graph import has_edge, plant_clique
 
 
@@ -102,8 +102,7 @@ def test_a1_gradient_matches_finite_differences():
         A = jittered_er(20, 0.15, seed)
         rng = derive_rng(seed, "acceptance-a1")
         targets = sorted(rng.choice(20, size=int(rng.integers(1, 4)), replace=False).tolist())
-        grad, _ = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
-                                               gradients.gradient_workspace(20))
+        grad, _ = fresh_gradient(A, targets)
         for p in range(20):
             for q in range(p + 1, 20):
                 if abs(grad[p, q]) <= 1e-8:

@@ -31,6 +31,7 @@ from gadpoison.attacks import (
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
 from gadpoison.graph import EdgeFlip, FlipAction, Graph, apply_flips, derive_rng, generate_ba, generate_er
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
+from test_gradients import fresh_gradient
 from test_graph import has_edge
 
 
@@ -105,8 +106,7 @@ def dense_grad_max_search(graph, config):
     flips, notes = [], []
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(config.budget_max):
-        G, _ = gradients.surrogate_gradient(gradients.Adjacency(adj), targets,
-                                            gradients.gradient_workspace(n))
+        G, _ = fresh_gradient(adj, targets)
         is_edge = adj > 0.5
         # adding a non-edge needs negative gradient; deleting an edge positive
         valid = np.zeros((n, n), dtype=bool)
@@ -171,6 +171,28 @@ class TestGradMaxAgainstDenseOracle:
 
 
 class TestContinuousA:
+    # one block, and blocks of 7 rows, whose diagonal blocks are mirrored too
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_iterate_exactly_symmetric(self, rows, monkeypatch):
+        # a relaxed A^T C A is not exactly symmetric in floating point, but
+        # each step rebuilds the iterate from its pair vector
+        g = generate_ba(40, 3, 2)
+        if rows is not None:
+            monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * g.n * rows)
+            monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
+        seen = []  # the iterate of each gradient call
+        inner = gradients.surrogate_gradient
+
+        def recorded(adj, targets, work, out):
+            seen.append(adj.A.copy())
+            return inner(adj, targets, work, out)
+
+        monkeypatch.setattr(gradients, "surrogate_gradient", recorded)
+        continuous_a(g, AttackConfig(budget_max=2, targets=top_target(g), iters=4, lr=0.05))
+        A = seen[3]  # after 3 steps
+        assert len(seen) == 4 and len(np.unique(A)) > 2  # relaxed
+        assert np.array_equal(A, A.T)
+
     def test_zero_iterations_degenerate_lexicographic(self):
         g = generate_er(8, 0.4, 2)
         plan = continuous_a(g, AttackConfig(budget_max=2, targets=top_target(g), iters=0))
@@ -187,14 +209,11 @@ class TestContinuousA:
 
     def test_projection_keeps_unit_box(self):
         # run the descent loop manually mirroring the attack's projection
-        from gadpoison import gradients
-
         g = generate_er(10, 0.3, 6)
         targets = list(top_target(g))
         A = g.dense()
         for _ in range(50):
-            G, _ = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
-                                                gradients.gradient_workspace(len(A)))
+            G, _ = fresh_gradient(A, targets)
             A = np.clip(A - 0.05 * G, 0.0, 1.0)
             np.fill_diagonal(A, 0.0)
             assert A.min() >= 0.0 and A.max() <= 1.0
@@ -224,8 +243,7 @@ def allocating_continuous_a(graph, config):
     objective, notes = [], []
     for step in range(config.iters):
         try:
-            G, val = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
-                                                  gradients.gradient_workspace(n))
+            G, val = fresh_gradient(A, targets)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             A = prev
             notes.append(f"stopped at iteration {step}: {exc}")
@@ -369,8 +387,7 @@ def dense_binarized_attack(graph, config):
         for step in range(config.iters + 1):
             A = np.where(zdot >= 0.5, 1.0 - A0, A0)
             try:
-                G, surr = gradients.surrogate_gradient(gradients.Adjacency(A), targets,
-                                                       gradients.gradient_workspace(n))
+                G, surr = fresh_gradient(A, targets)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 G, surr = np.zeros((n, n)), math.inf
             soft = zdot[iu, ju]
@@ -429,6 +446,15 @@ class TestBinarizedAgainstDenseOracle:
         g, cfg = oracle_case(case)
         assert binarized_attack(g, cfg).to_dict() == dense_binarized_attack(g, cfg).to_dict()
 
+    # blocks of 3 rows: the z-step runs in 3 chunks of the soft values,
+    # with frozen pairs in each
+    @pytest.mark.parametrize("case", ["ba-add-only", "ba-isolating"])
+    def test_plan_equals_dense_loop_in_small_blocks(self, case, monkeypatch):
+        g, cfg = oracle_case(case)
+        monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * g.n * 3)
+        monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
+        assert binarized_attack(g, cfg).to_dict() == dense_binarized_attack(g, cfg).to_dict()
+
     # ba-add-only runs the four default lambdas over 25 distinct patterns;
     # a 4096-byte bound holds four of its 105-pair gradients, so it evicts
     @pytest.mark.parametrize("case, limit", [
@@ -443,14 +469,14 @@ class TestBinarizedAgainstDenseOracle:
         calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
         inner = gradients.surrogate_gradient
 
-        def counted(adj, targets, work):
+        def counted(adj, targets, work, out):
             try:
-                out = inner(adj, targets, work)
+                value = inner(adj, targets, work, out)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 calls.append((adj.A.tobytes(), False))
                 raise
             calls.append((adj.A.tobytes(), True))
-            return out
+            return value
 
         monkeypatch.setattr(gradients, "surrogate_gradient", counted)
         dense_binarized_attack(g, cfg)
@@ -484,19 +510,18 @@ def lru_replay(collapsed, graph, limit):
     """Reference memo: the calls that remain when the collapsed adjacency
     sequence runs through an LRU of ``limit`` bytes, and its evictions.
 
-    An entry costs 8 bytes per flipped pair (its key) plus 8 per pair of
-    the graph when the gradient exists.
+    An entry costs one bit per pair of the graph, rounded up to whole
+    bytes (its key), plus 8 bytes per pair when the gradient exists.
     """
     n = graph.n
-    A0 = graph.dense()
+    pairs = n * (n - 1) // 2
     memo, used, remaining, evictions = OrderedDict(), 0, [], 0
     for adj_bytes, ok in collapsed:
         if adj_bytes in memo:
             memo.move_to_end(adj_bytes)
             continue
         remaining.append((adj_bytes, ok))
-        A = np.frombuffer(adj_bytes).reshape(n, n)
-        size = 8 * int(np.sum(A != A0)) // 2 + (8 * n * (n - 1) // 2 if ok else 0)
+        size = -(-pairs // 8) + (8 * pairs if ok else 0)
         if size > limit:
             continue
         while used + size > limit:
@@ -624,24 +649,24 @@ class TestInitialDraw:
 
 class TestPeakMemory:
     """Under tracemalloc, each attack on BA(600, 5) peaks below its design
-    plus 10 %: three n x n float64 matrices (the adjacency, its square and
-    the workspace's G; for ContinuousA the two iterate buffers and the
-    square), the workspace's row-block scratch, the n x n pair mask, and
-    the bytes per pair each attack lists below."""
+    plus 10 %: two n x n float64 matrices (the adjacency and its square),
+    the workspace's two row blocks, the n x n pair mask, and the bytes per
+    pair each attack lists below."""
 
     n = 600
     # per pair: a0, sign_p and frozen_p (3 bytes) plus, for
-    #   gradmax: movable, is_edge, the gathered gain, valid and ~valid;
-    #   binarized: z, gsp, three flip patterns, their comparison, and at
-    #   most every pair flipped, as indices and as the memo key; plus the
-    #   memo itself, MEMO_BYTES
+    #   gradmax: movable, is_edge, the gain vector, valid and ~valid;
+    #   continuous: the iterate's two pair vectors;
+    #   binarized: z, gsp, three flip patterns, their comparison, at most
+    #   every pair flipped as indices, and the memo key, packed to a bit a
+    #   pair (1 byte here); plus the memo itself, MEMO_BYTES
     CASES = {
         "gradmax": ("gradmax", dict(budget_max=5), 3 + 1 + 1 + 8 + 1 + 1),
-        "continuous": ("continuous", dict(budget_max=5, iters=3, lr=1e-4), 3),
-        "binarized": ("binarized", dict(budget_max=5, iters=5), 3 + 8 + 8 + 3 + 1 + 16),
+        "continuous": ("continuous", dict(budget_max=5, iters=3, lr=1e-4), 3 + 8 + 8),
+        "binarized": ("binarized", dict(budget_max=5, iters=5), 3 + 8 + 8 + 3 + 1 + 8 + 1),
         # steps of 100 drive the soft values to 0 or 1
         "binarized-saturating": ("binarized", dict(budget_max=5, iters=5, lr=100.0),
-                                 3 + 8 + 8 + 3 + 1 + 16),
+                                 3 + 8 + 8 + 3 + 1 + 8 + 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -650,9 +675,9 @@ class TestPeakMemory:
         n = self.n
         g = generate_ba(n, 5, 0)
         cfg = AttackConfig(targets=tuple(rank_top_k(score_graph(g), 5)), lambdas=(1e-3,), **kwargs)
-        scratch = 8 * gradients._block_rows(n) * n
-        assert scratch < 8 * n * n  # the bound is tighter than four n x n matrices
-        design = 3 * 8 * n * n + scratch + n * n + per_pair * n * (n - 1) // 2
+        blocks = 2 * 8 * gradients._block_rows(n) * n
+        assert blocks // 2 < 8 * n * n  # tighter than an n x n G and one block
+        design = 2 * 8 * n * n + blocks + n * n + per_pair * n * (n - 1) // 2
         if attack == "binarized":
             design += attacks.MEMO_BYTES
         tracemalloc.start()

@@ -17,14 +17,27 @@ def relaxed_features(A):
     return EgoFeatures(N=N, E=N + 0.5 * diag3)
 
 
-def gradient_of(A, targets, work):
-    """``surrogate_gradient`` on a fresh ``Adjacency`` of A: (G, value)."""
-    return gradients.surrogate_gradient(gradients.Adjacency(A), targets, work)
+def gradient_of(A, targets, work, out=None):
+    """``surrogate_gradient`` on a fresh ``Adjacency`` of A, into ``out``
+    or a new pair vector: (pair vector, value)."""
+    if out is None:
+        out = np.empty(len(A) * (len(A) - 1) // 2)
+    return out, gradients.surrogate_gradient(gradients.Adjacency(A), targets, work, out)
+
+
+def symmetric_field(g, n):
+    """The symmetric n x n matrix, zero on its diagonal, whose pair entries
+    in ``np.triu_indices`` order are the pair vector g."""
+    G = np.zeros((n, n))
+    G[np.triu_indices(n, 1)] = g
+    return G + G.T
 
 
 def fresh_gradient(A, targets):
-    """``surrogate_gradient`` on a workspace of its own: (G, value)."""
-    return gradient_of(A, targets, gradients.gradient_workspace(len(A)))
+    """``surrogate_gradient`` on a workspace of its own, as the symmetric
+    n x n field: (G, value)."""
+    g, value = gradient_of(A, targets, gradients.gradient_workspace(len(A)))
+    return symmetric_field(g, len(A)), value
 
 
 def surrogate_value(A, targets):
@@ -294,16 +307,18 @@ def binary_ba(n, m, seed):
     return generate_ba(n, m, seed).dense()
 
 
-def allocating_gradient(A, targets):
+def allocating_gradient(A, targets, product=np.matmul):
     """Reference: the forward and backward passes written out on A alone,
-    with fresh temporaries per term.
+    with fresh temporaries per term, as an n x n field G.
 
-    The library fits through ``oddball.fit_ols`` and builds G in a reused
-    workspace; both must round every element identically.
+    The library fits through ``oddball.fit_ols`` and builds G's pair
+    entries by row blocks in a reused workspace; with the same symmetric
+    ``product`` both must round every element identically.
     """
     n, targets = len(A), np.asarray(sorted(targets))
     N = A.sum(axis=1)
-    E = N + 0.5 * np.einsum("ij,ij->i", A, A @ A)
+    S = product(A, A)
+    E = N + 0.5 * np.einsum("ij,ij->i", A, S)
     mask = np.flatnonzero(N > 0)
     M = len(mask)
     x, y = np.log(N[mask]), np.log(E[mask])
@@ -330,14 +345,28 @@ def allocating_gradient(A, targets):
     dL_dN += dL_dE
     c = 0.5 * dL_dE
     G = dL_dN[:, None] + dL_dN[None, :]
-    G += 2.0 * (A * c[:, None]).T @ A
-    G += 2.0 * (A @ A) * (c[:, None] + c[None, :])
+    G += 2.0 * product((A * c[:, None]).T, A)
+    G += 2.0 * S * (c[:, None] + c[None, :])
     np.fill_diagonal(G, 0.0)
     return G, float(np.sum(resid_t**2))
 
 
+def blocked_product(rows):
+    """A product L @ R of symmetric result computed by upper row blocks of
+    ``rows`` rows, each block's strictly-lower part copied from its
+    transpose, as the library computes its products."""
+    def product(L, R):
+        X = np.empty((len(L), R.shape[1]))
+        for s in range(0, len(X), rows):
+            e = s + rows
+            X[s:e, s:] = L[s:e] @ R[:, s:]
+            X[e:, s:e] = X[s:e, e:].T
+        return X
+    return product
+
+
 class TestWorkspace:
-    """A reused workspace gives bit-for-bit the field and value of a fresh call."""
+    """A reused workspace gives bit-for-bit the pair vector and value of a fresh call."""
 
     @pytest.mark.parametrize("make, targets", [
         (lambda: jittered_er(30, 0.2, 12), [3, 11]),
@@ -345,35 +374,37 @@ class TestWorkspace:
     ])
     def test_equal_with_and_without_work(self, make, targets):
         A = make()
-        G0, v0 = fresh_gradient(A, targets)
+        n = len(A)
+        g0, v0 = gradient_of(A, targets, gradients.gradient_workspace(n))
         Gr, vr = allocating_gradient(A, targets)
-        assert np.array_equal(G0, Gr) and v0 == vr
-        work = gradients.gradient_workspace(len(A))
-        G1, v1 = gradient_of(A, targets, work)
-        assert np.array_equal(G0, G1) and v0 == v1
-        assert any(G1 is buf for buf in work)
-        assert np.array_equal(gradient_of(A, targets, work)[0], G0)
+        assert np.array_equal(g0, Gr[np.triu_indices(n, 1)]) and v0 == vr
+        work = gradients.gradient_workspace(n)
+        g1, v1 = gradient_of(A, targets, work)
+        assert np.array_equal(g0, g1) and v0 == v1
+        out = np.full_like(g1, np.nan)
+        assert gradient_of(A, targets, work, out)[0] is out
+        assert np.array_equal(out, g0)
 
     def test_consecutive_calls_on_different_graphs(self):
         A1, A2 = binary_ba(40, 3, 2), jittered_er(40, 0.2, 13)
         expected = [fresh_gradient(A, [1, 4]) for A in (A1, A2, A1)]
-        work = gradients.gradient_workspace(40)
+        work, out = gradients.gradient_workspace(40), np.empty(40 * 39 // 2)
         for A, (G, v) in zip((A1, A2, A1), expected):
-            G1, v1 = gradient_of(A, [1, 4], work)
-            assert np.array_equal(G1, G) and v1 == v
+            g1, v1 = gradient_of(A, [1, 4], work, out)
+            assert np.array_equal(symmetric_field(g1, 40), G) and v1 == v
 
     def test_empty_targets(self):
         A = binary_ba(20, 2, 1)
-        work = gradients.gradient_workspace(20)
-        gradient_of(A, [0], work)  # leave stale values behind
-        G, v = gradient_of(A, [], work)
+        work, out = gradients.gradient_workspace(20), np.empty(20 * 19 // 2)
+        gradient_of(A, [0], work, out)  # leave stale values behind
+        g, v = gradient_of(A, [], work, out)
         G0, v0 = fresh_gradient(A, [])
         assert v == v0 == 0.0
-        assert np.array_equal(G, G0) and not G.any()
+        assert np.array_equal(symmetric_field(g, 20), G0) and not g.any()
 
     @pytest.mark.parametrize("error", [IsolatedTarget, NodeVanished, DegenerateFit])
     def test_raising_call_writes_neither_buffer(self, error):
-        # ContinuousA rolls back to the iterate it keeps in the G buffer
+        # ContinuousA rolls back to the iterate it keeps in the out vector
         A, targets = binary_ba(30, 2, 4), [7]
         if error is IsolatedTarget:
             A[7, :] = A[:, 7] = 0.0
@@ -385,22 +416,23 @@ class TestWorkspace:
             A += A.T
         rng = np.random.default_rng(0)
         work = tuple(rng.random(buf.shape) for buf in gradients.gradient_workspace(30))
-        before = [buf.tobytes() for buf in work]
+        out = rng.random(30 * 29 // 2)
+        before = [buf.tobytes() for buf in (*work, out)]
         with pytest.raises(error):
-            gradient_of(A, targets, work)
-        assert [buf.tobytes() for buf in work] == before
+            gradient_of(A, targets, work, out)
+        assert [buf.tobytes() for buf in (*work, out)] == before
 
     def test_reuse_after_isolated_target(self):
         A = binary_ba(30, 2, 4)
         iso = A.copy()
         iso[7, :] = iso[:, 7] = 0.0
-        work = gradients.gradient_workspace(30)
-        gradient_of(A, [7], work)
+        work, out = gradients.gradient_workspace(30), np.empty(30 * 29 // 2)
+        gradient_of(A, [7], work, out)
         with pytest.raises(IsolatedTarget):
-            gradient_of(iso, [7], work)
-        G, v = gradient_of(iso, [3], work)
+            gradient_of(iso, [7], work, out)
+        g, v = gradient_of(iso, [3], work, out)
         G0, v0 = fresh_gradient(iso, [3])
-        assert np.array_equal(G, G0) and v == v0
+        assert np.array_equal(symmetric_field(g, 30), G0) and v == v0
 
 
 class TestBlockedProducts:
@@ -411,8 +443,9 @@ class TestBlockedProducts:
     def blocked(self, request, monkeypatch):
         n, rows = request.param
         monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * n * rows)
+        monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
         assert gradients._block_rows(n) == rows
-        assert gradients.gradient_workspace(n)[0].size == rows * n
+        assert [buf.size for buf in gradients.gradient_workspace(n)] == [rows * n] * 2
         return n
 
     @pytest.mark.parametrize("model", ["ba", "er"])
@@ -430,17 +463,21 @@ class TestBlockedProducts:
         A = jittered_er(n, 0.1, n) if relaxed else binary_ba(n, 3, n)
         targets = [0, 5, n // 2]
         adj = gradients.Adjacency(A)
-        G, v = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n))
+        g = np.empty(n * (n - 1) // 2)
+        v = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n), g)
+        upper = np.triu_indices(n, 1)
         Gr, vr = allocating_gradient(A, targets)
         assert v == vr
-        np.testing.assert_allclose(G, Gr, rtol=1e-12, atol=0)
-        # below the diagonal blocks, which the products compute whole, each
-        # block is the copy of its transpose above them
+        np.testing.assert_allclose(g, Gr[upper], rtol=1e-12, atol=0)
+        # the field of the same blocked products, bit for bit
         rows = gradients._block_rows(n)
+        Gb, vb = allocating_gradient(A, targets, blocked_product(rows))
+        assert vb == v and np.array_equal(g, Gb[upper])
+        # below the diagonal blocks, which the products compute whole, each
+        # block of the square is the copy of its transpose above them
         for s in range(0, n, rows):
             e = s + rows
-            for X in (G, adj.square):
-                assert np.array_equal(X[e:, s:e], X[s:e, e:].T)
+            assert np.array_equal(adj.square[e:, s:e], adj.square[s:e, e:].T)
 
 
 class TestLassoLinearity:
