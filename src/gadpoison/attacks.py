@@ -26,11 +26,17 @@ from .errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
 from .graph import EdgeFlip, FlipAction, Graph, check_dense_fits, derive_rng
 
 DEFAULT_LAMBDAS = (1e-4, 1e-3, 1e-2, 1e-1)
-# bytes of remembered gradients, keys included, that one BinarizedAttack
-# call may hold; past n = 725 a single pair vector exceeds it
+# bytes of remembered gradients, and of failed patterns' keys, that one
+# BinarizedAttack call may hold; past n = 725 a pair vector exceeds it
 MEMO_BYTES = 2 << 20
-# bytes of soft values BinarizedAttack draws, or scans for its top pairs, at a time
+# bytes of soft values BinarizedAttack scans for its top pairs at a time
 Z_BLOCK_BYTES = 1 << 20
+# a pattern change of more than RECOUNT_AT * n^2 pairs rewrites every pair
+# and recounts the square with one blocked product instead of toggling:
+# toggling in place and recounting broke even at 5, 28, 71, 263 and 1365
+# pairs for n = 100, 200, 300, 500 and 1000 (2 cores, OpenBLAS), which
+# n^2 / 1000 follows within a factor of 2
+RECOUNT_AT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -222,18 +228,6 @@ def _pair_space(graph: Graph, config: AttackConfig):
     return upper, a0, 1 - 2 * a0.astype(np.int8), frozen_p
 
 
-def _set_pairs(A: np.ndarray, upper: np.ndarray, values) -> None:
-    """Write a pair vector into both triangles of the symmetric A: the
-    upper one through ``upper``, the lower one copied from it by blocks of
-    ``gradients._block_rows`` rows. The diagonal is left as it is."""
-    A[upper] = values
-    rows = gradients._block_rows(len(A))
-    for s in range(0, len(A), rows):
-        e, tri = s + rows, upper[s:s + rows, s:s + rows]
-        A[e:, s:e] = A[s:e, e:].T
-        A[s:e, s:e].T[tri] = A[s:e, s:e][tri]
-
-
 def _pair_index(p, q, n: int):
     """The lexicographic index of each pair {p < q} of n nodes."""
     return p * (2 * n - p - 1) // 2 + q - p - 1
@@ -277,11 +271,10 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     adj = gradients.Adjacency(graph.dense())
     chosen: list[int] = []
     notes: list[str] = []
-    work = gradients.gradient_workspace(n)
     gain = np.empty(len(a0))
 
     for _ in range(config.budget_max):
-        gradients.surrogate_gradient(adj, config.targets, work, gain)
+        gradients.surrogate_gradient(adj, config.targets, gain)
         # the first-order decrease of a pair's flip: adding a non-edge
         # needs a negative gradient, deleting an edge a positive one
         gain *= sign_p
@@ -326,10 +319,9 @@ def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
     a = A[upper]
     g = a.copy()  # the iterate before a: a rollback from the first step keeps a
     adj = gradients.Adjacency(A)
-    work = gradients.gradient_workspace(len(A))
     for step in range(config.iters):
         try:
-            val = gradients.surrogate_gradient(adj, config.targets, work, g)
+            val = gradients.surrogate_gradient(adj, config.targets, g)
         except (IsolatedTarget, NodeVanished, DegenerateFit) as exc:
             # the relaxed objective is undefined past this iterate; keep the
             # last valid point rather than silently repairing the descent.
@@ -344,8 +336,7 @@ def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
         np.subtract(a, g, out=g)
         np.clip(g, 0.0, 1.0, out=g)
         a, g = g, a
-        _set_pairs(A, upper, a)
-        adj.reset(A)
+        adj.set_pairs(upper, a)
     return a, objective, notes
 
 
@@ -385,9 +376,10 @@ class _GradientMemo:
     """Byte-bounded LRU map from a flip pattern's packed bits to its (gsp,
     surrogate), where gsp is None for a pattern whose objective failed.
 
-    An entry costs its key's bytes plus its gsp's. Storing evicts the
-    least recently used entries until the new one fits; one larger than
-    the bound is never stored. Stored gsp arrays are read-only.
+    An entry costs its gsp's bytes, or its key's when the pattern failed.
+    Storing evicts the least recently used entries until the new one fits;
+    one larger than the bound is never stored. Stored gsp arrays are
+    read-only.
     """
 
     def __init__(self, limit: int):
@@ -397,7 +389,7 @@ class _GradientMemo:
 
     @staticmethod
     def _size(key: bytes, gsp: np.ndarray | None) -> int:
-        return len(key) + (0 if gsp is None else gsp.nbytes)
+        return len(key) if gsp is None else gsp.nbytes
 
     def get(self, key: bytes) -> tuple[np.ndarray | None, float] | None:
         entry = self.entries.get(key)
@@ -451,19 +443,10 @@ def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
 
 def _initial_z(rng: np.random.Generator, upper: np.ndarray) -> np.ndarray:
     """BinarizedAttack's starting soft values: the upper-triangle pairs of
-    ``0.25 + rng.uniform(0.0, 0.05, size=(n, n))``, drawn Z_BLOCK_BYTES of
-    uniforms at a time; consecutive row blocks continue the same stream."""
-    n = len(upper)
-    rows = max(1, Z_BLOCK_BYTES // (8 * n))
-    z = np.empty(n * (n - 1) // 2)
-    k = 0
-    for start in range(0, n, rows):
-        block = rng.uniform(0.0, 0.05, size=(min(rows, n - start), n))
-        block += 0.25
-        part = block[upper[start:start + rows]]
-        z[k:k + len(part)] = part
-        k += len(part)
-    return z
+    ``0.25 + rng.uniform(0.0, 0.05, size=(n, n))``."""
+    z = rng.uniform(0.0, 0.05, size=upper.shape)
+    z += 0.25
+    return z[upper]
 
 
 def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
@@ -505,18 +488,15 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         entry = memo.get(key)
         if entry is None:
             np.not_equal(pattern, shown, out=shown)  # the pairs adj must toggle
-            if np.count_nonzero(shown) > gradients.RECOUNT_AT * n * n:
-                # write every pair's 0/1 value into both triangles and
-                # recount, which gives the counts toggling would: they are
-                # integers
-                _set_pairs(adj.A, upper, a0 ^ pattern)
-                adj.reset(adj.A)
+            if np.count_nonzero(shown) > RECOUNT_AT * n * n:
+                # recounting gives the counts toggling would: they are integers
+                adj.set_pairs(upper, a0 ^ pattern)
             else:
                 adj.toggle(*_pair_nodes(np.flatnonzero(shown), n))
             np.copyto(shown, pattern)
             gsp = np.empty(len(pattern))
             try:
-                surr = gradients.surrogate_gradient(adj, config.targets, work, gsp)
+                surr = gradients.surrogate_gradient(adj, config.targets, gsp)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 # flip pattern isolated a target; mark the snapshot unusable
                 # and let the penalty pull the soft variables back down
@@ -528,13 +508,12 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         return entry
 
     for lam in config.lambdas:
-        adj = work = grad = None  # free the last run's buffers before this run's
+        adj = grad = None  # free the last run's buffers before this run's
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
         z = _initial_z(rng, upper)
         z[frozen_p] = 0.0
         adj = gradients.Adjacency(graph.dense())
-        work = gradients.gradient_workspace(n)
-        grad = work[0]  # the z-step's scratch between gradient calls
+        grad = adj.work[0]  # the z-step's scratch between gradient calls
         # the flip pattern of this step, of the last step and of adj
         on, pattern, shown = (np.zeros(len(z), dtype=bool) for _ in range(3))
         flipped = np.flatnonzero(pattern)
@@ -560,7 +539,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             if step == config.iters:
                 break
             # grad = gsp + lam * sign(z), zeroed where frozen; z -= lr * grad
-            # in [0, 1], a workspace block at a time. z is never negative,
+            # in [0, 1], a block of adj.work at a time. z is never negative,
             # so sign(z) is [z > 0]
             for k in range(0, len(z), len(grad)):
                 zk, gk = z[k:k + len(grad)], grad[:len(z) - k]

@@ -20,17 +20,11 @@ from .oddball import EgoFeatures, _connected_targets, _fit_ols_logs, _target_res
 TAU_N = 1e-6
 
 
-# a batch of more than RECOUNT_AT * n^2 toggled pairs recounts the square
-# with one BLAS product instead: toggling in place and recounting broke
-# even at 5, 28, 71, 263 and 1365 pairs for n = 100, 200, 300, 500 and
-# 1000 (2 cores, OpenBLAS), which n^2 / 1000 follows within a factor of 2
-RECOUNT_AT = 1e-3
-
 # bytes of one row block of the symmetric n x n products A @ A and A^T C A,
-# which are computed by upper block rows; the gradient's workspace holds
-# two blocks, the left operand C A and the product with its elementwise
-# tail. Of 0.5 to 16 MiB, 2 and 3 MiB gave the fastest calls at n = 1000
-# (2 cores, OpenBLAS). Past n = 1024 a block keeps MIN_BLOCK_ROWS rows
+# which are computed by upper block rows; ``Adjacency.work`` holds two
+# blocks, the left operand C A and the product with its elementwise tail.
+# Of 0.5 to 16 MiB, 2 and 3 MiB gave the fastest calls at n = 1000 (2
+# cores, OpenBLAS). Past n = 1024 a block keeps MIN_BLOCK_ROWS rows
 # instead: blocks of fewer rows keep the BLAS less efficient, and one call
 # at n = 3000 took 1,050 ms with 87-row blocks against 913 ms with 256
 BLOCK_BYTES = 2 << 20
@@ -44,7 +38,10 @@ def _block_rows(n: int) -> int:
 
 class Adjacency:
     """A symmetric n x n adjacency A with the two counts the surrogate's
-    forward pass reads: the degrees N = A.sum(1) and the square A @ A.
+    forward pass reads, the degrees N = A.sum(1) and the square A @ A, and
+    ``work``, the gradient's two flat float64 row blocks of
+    ``_block_rows(n)`` x n values. No gradient call reads what an earlier
+    one left in ``work``, so between calls its owner may use it as scratch.
 
     N is counted on construction, the square on first use, so a call
     that fails the degree checks never pays the O(n^3) product. On a 0/1
@@ -54,6 +51,8 @@ class Adjacency:
     """
 
     def __init__(self, A: np.ndarray):
+        size = _block_rows(len(A)) * len(A)
+        self.work = np.empty(size), np.empty(size)
         self._square = None  # n x n buffer, allocated on first use
         self.reset(A)
 
@@ -80,16 +79,30 @@ class Adjacency:
             self._current = True
         return self._square
 
+    def set_pairs(self, upper: np.ndarray, values) -> None:
+        """Write a pair vector into both triangles of A, the upper one
+        through the mask ``upper`` and the lower one copied from it by row
+        blocks, and recount. The diagonal is left as it is."""
+        A = self.A
+        A[upper] = values
+        rows = _block_rows(len(A))
+        for s in range(0, len(A), rows):
+            e, tri = s + rows, upper[s:s + rows, s:s + rows]
+            A[e:, s:e] = A[s:e, e:].T
+            A[s:e, s:e].T[tri] = A[s:e, s:e][tri]
+        self.reset(A)
+
     def toggle(self, p: np.ndarray, q: np.ndarray) -> None:
         """Flip the distinct 0/1 pairs {p[k], q[k]} of a binary A.
 
-        With d = +1 for an add and -1 for a delete, each flip in turn adds
-        d*A[q] to row and column p of the square, d*A[p] to row and column
-        q, and 1 to (p, p) and (q, q), all read from A before that flip.
+        A current square is updated in place: with d = +1 for an add and
+        -1 for a delete, each flip in turn adds d*A[q] to row and column p,
+        d*A[p] to row and column q, and 1 to (p, p) and (q, q), all read
+        from A before that flip. A stale one is left to its recount.
         """
         A, S = self.A, self._square
         d = 1.0 - 2.0 * A[p, q]
-        if self._current and len(p) <= RECOUNT_AT * len(A) ** 2:
+        if self._current:
             for a, b, s in zip(p.tolist(), q.tolist(), d.tolist()):
                 da, db = s * A[a], s * A[b]
                 S[a] += db
@@ -100,27 +113,12 @@ class Adjacency:
                 S[b, b] += 1.0
                 A[a, b] = A[b, a] = A[a, b] + s
         else:
-            self._current = False  # recount on next use instead
             A[p, q] = A[q, p] = A[p, q] + d
         np.add.at(self.N, p, d)
         np.add.at(self.N, q, d)
 
 
-def gradient_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 buffers one ``surrogate_gradient`` call needs: two flat
-    row blocks of ``_block_rows(n)`` x n values each, for the left operand
-    of a block's product and then for the product (n x n when one block
-    covers the graph, BLOCK_BYTES up to n = 1024, MIN_BLOCK_ROWS rows past
-    it).
-
-    No call reads what an earlier call left in them, so between calls a
-    caller may use them as scratch.
-    """
-    rows = _block_rows(n)
-    return np.empty(rows * n), np.empty(rows * n)
-
-
-def surrogate_gradient(adj: Adjacency, targets, work, out: np.ndarray) -> float:
+def surrogate_gradient(adj: Adjacency, targets, out: np.ndarray) -> float:
     """Write the exact partials of the attack objective per unordered pair
     {i, j} into ``out`` and return the objective's value.
 
@@ -135,12 +133,12 @@ def surrogate_gradient(adj: Adjacency, targets, work, out: np.ndarray) -> float:
     n x n matrix's strict upper triangle; entry (i, j) is dL/d(pair ij),
     the derivative when both A_ij and A_ji move together.
 
-    ``work`` is a ``gradient_workspace(n)`` to compute in. A call that
-    raises has written to neither ``out`` nor ``work``: every check comes
-    before the first write. A^T C A is computed by upper block rows, one
-    row block of the symmetric gradient field at a time: its elementwise
-    tail is applied to the block, whose strict-upper entries are then
-    copied into ``out``, so no n x n field is held.
+    The call computes in ``adj.work``. One that raises has written to
+    neither ``out`` nor ``adj.work``: every check comes before the first
+    write. A^T C A is computed by upper block rows, one row block of the
+    symmetric gradient field at a time: its elementwise tail is applied
+    to the block, whose strict-upper entries are then copied into
+    ``out``, so no n x n field is held.
     """
     A, N = adj.A, adj.N
     n = A.shape[0]
@@ -206,7 +204,7 @@ def surrogate_gradient(adj: Adjacency, targets, work, out: np.ndarray) -> float:
     # in place by upper row blocks s:e, columns s:, with the same roundings
     # per element as that expression
     S = adj.square
-    L, P = work
+    L, P = adj.work
     rows = _block_rows(n)
     strip = max(1, 8192 // n)  # rows gathered at once: their copy is at most 64 KiB
     tri = np.less.outer(np.arange(strip), np.arange(n))  # a strip's pairs, from its diagonal

@@ -18,7 +18,6 @@ from gadpoison.attacks import (
     PerturbationPlan,
     _finalize_plan,
     _GradientMemo,
-    _initial_z,
     _pair_index,
     _pair_nodes,
     _pair_space,
@@ -183,9 +182,9 @@ class TestContinuousA:
         seen = []  # the iterate of each gradient call
         inner = gradients.surrogate_gradient
 
-        def recorded(adj, targets, work, out):
+        def recorded(adj, targets, out):
             seen.append(adj.A.copy())
-            return inner(adj, targets, work, out)
+            return inner(adj, targets, out)
 
         monkeypatch.setattr(gradients, "surrogate_gradient", recorded)
         continuous_a(g, AttackConfig(budget_max=2, targets=top_target(g), iters=4, lr=0.05))
@@ -431,6 +430,9 @@ ORACLE_CASES = {
     # a held pattern repeats its surrogate while the soft order changes, so
     # the first of equal minima decides which top-b order is truncated
     "ba-first-of-ties": (generate_ba(15, 2, 1), dict(lr=0.1, iters=80, lambdas=(1e-3,))),
+    # past n = 31 a pattern change of a pair or two toggles in place
+    "ba-toggling": (generate_ba(60, 2, 1), dict(lr=0.002, iters=150, lambdas=(1e-4, 1e-2))),
+    "er-toggling": (generate_er(50, 0.1, 3), dict(lr=0.002, iters=150)),
 }
 
 
@@ -455,6 +457,28 @@ class TestBinarizedAgainstDenseOracle:
         monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
         assert binarized_attack(g, cfg).to_dict() == dense_binarized_attack(g, cfg).to_dict()
 
+    @pytest.mark.parametrize("case", ["ba-toggling", "er-toggling"])
+    def test_pattern_changes_toggle_up_to_the_crossover_and_rewrite_past_it(
+            self, case, monkeypatch):
+        g, cfg = oracle_case(case)
+        toggled, rewritten = [], []  # pairs changed per toggle and per set_pairs
+        toggle, set_pairs = gradients.Adjacency.toggle, gradients.Adjacency.set_pairs
+
+        def counted_toggle(adj, p, q):
+            toggled.append(len(p))
+            toggle(adj, p, q)
+
+        def counted_set_pairs(adj, upper, values):
+            rewritten.append(int(np.count_nonzero(adj.A[upper] != values)))
+            set_pairs(adj, upper, values)
+
+        monkeypatch.setattr(gradients.Adjacency, "toggle", counted_toggle)
+        monkeypatch.setattr(gradients.Adjacency, "set_pairs", counted_set_pairs)
+        binarized_attack(g, cfg)
+        crossover = attacks.RECOUNT_AT * g.n ** 2
+        assert sum(k > 0 for k in toggled) >= 10 and rewritten
+        assert max(toggled) <= crossover < min(rewritten)
+
     # ba-add-only runs the four default lambdas over 25 distinct patterns;
     # a 4096-byte bound holds four of its 105-pair gradients, so it evicts
     @pytest.mark.parametrize("case, limit", [
@@ -469,9 +493,9 @@ class TestBinarizedAgainstDenseOracle:
         calls = []  # (adjacency bytes, raised nothing) per surrogate_gradient call
         inner = gradients.surrogate_gradient
 
-        def counted(adj, targets, work, out):
+        def counted(adj, targets, out):
             try:
-                value = inner(adj, targets, work, out)
+                value = inner(adj, targets, out)
             except (IsolatedTarget, DegenerateFit, NodeVanished):
                 calls.append((adj.A.tobytes(), False))
                 raise
@@ -510,8 +534,8 @@ def lru_replay(collapsed, graph, limit):
     """Reference memo: the calls that remain when the collapsed adjacency
     sequence runs through an LRU of ``limit`` bytes, and its evictions.
 
-    An entry costs one bit per pair of the graph, rounded up to whole
-    bytes (its key), plus 8 bytes per pair when the gradient exists.
+    An entry costs 8 bytes per pair of the graph when the gradient exists,
+    else one bit per pair, rounded up to whole bytes (its key).
     """
     n = graph.n
     pairs = n * (n - 1) // 2
@@ -521,7 +545,7 @@ def lru_replay(collapsed, graph, limit):
             memo.move_to_end(adj_bytes)
             continue
         remaining.append((adj_bytes, ok))
-        size = -(-pairs // 8) + (8 * pairs if ok else 0)
+        size = 8 * pairs if ok else -(-pairs // 8)
         if size > limit:
             continue
         while used + size > limit:
@@ -543,19 +567,19 @@ class TestGradientMemo:
             stored[0] = 9.0
 
     def test_least_recent_evicted_first_within_the_bound(self):
-        memo = _GradientMemo(3 * (8 + 32))  # three entries of an 8-byte key and 4 floats
+        memo = _GradientMemo(3 * 32)  # three entries of 4 floats, keys not charged
         keys = [bytes(8 * [k]) for k in range(4)]
         for k in keys[:3]:
             memo.put(k, np.zeros(4), 0.0)
         memo.get(keys[0])  # keys[1] is now the least recent
         memo.put(keys[3], np.zeros(4), 0.0)
         assert list(memo.entries) == [keys[2], keys[0], keys[3]]
-        assert memo.used == 3 * 40
+        assert memo.used == 3 * 32
 
     def test_oversized_entry_never_stored(self):
         memo = _GradientMemo(100)
         memo.put(b"small", None, math.inf)
-        memo.put(b"big", np.zeros(20), 0.0)  # 3 + 160 bytes
+        memo.put(b"big", np.zeros(20), 0.0)  # 160 bytes; its key is not charged
         assert memo.get(b"big") is None
         assert memo.get(b"small") == (None, math.inf)
         assert memo.used == 5
@@ -633,18 +657,6 @@ class TestPairAddressing:
         assert np.all(p < q) and np.all(q < n)
         assert [a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in zip(p.tolist(), q.tolist())] == k.tolist()
         assert np.array_equal(_pair_index(p, q, n), k)
-
-
-class TestInitialDraw:
-    # n = 30: blocks of one row, of 7 rows (not a divisor of 30), of more
-    # rows than n; n = 400 with the default block takes two blocks
-    @pytest.mark.parametrize("n, rows", [(30, 1), (30, 7), (30, 45), (400, None)])
-    def test_row_blocks_equal_one_draw(self, n, rows, monkeypatch):
-        if rows is not None:
-            monkeypatch.setattr(attacks, "Z_BLOCK_BYTES", 8 * n * rows)
-        upper = np.less.outer(np.arange(n), np.arange(n))
-        whole = 0.25 + derive_rng(5, "draw").uniform(0.0, 0.05, size=(n, n))
-        assert np.array_equal(_initial_z(derive_rng(5, "draw"), upper), whole[np.triu_indices(n, 1)])
 
 
 class TestPeakMemory:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gadpoison import gradients
+from gadpoison import attacks, gradients
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished
 from gadpoison.graph import generate, generate_ba, generate_er
 from gadpoison.oddball import EgoFeatures, ego_features, fit_ols, surrogate_objective
@@ -17,12 +17,12 @@ def relaxed_features(A):
     return EgoFeatures(N=N, E=N + 0.5 * diag3)
 
 
-def gradient_of(A, targets, work, out=None):
-    """``surrogate_gradient`` on a fresh ``Adjacency`` of A, into ``out``
-    or a new pair vector: (pair vector, value)."""
+def gradient_of(adj, targets, out=None):
+    """``surrogate_gradient`` on ``adj``, into ``out`` or a new pair
+    vector: (pair vector, value)."""
     if out is None:
-        out = np.empty(len(A) * (len(A) - 1) // 2)
-    return out, gradients.surrogate_gradient(gradients.Adjacency(A), targets, work, out)
+        out = np.empty(len(adj.A) * (len(adj.A) - 1) // 2)
+    return out, gradients.surrogate_gradient(adj, targets, out)
 
 
 def symmetric_field(g, n):
@@ -34,9 +34,9 @@ def symmetric_field(g, n):
 
 
 def fresh_gradient(A, targets):
-    """``surrogate_gradient`` on a workspace of its own, as the symmetric
-    n x n field: (G, value)."""
-    g, value = gradient_of(A, targets, gradients.gradient_workspace(len(A)))
+    """``surrogate_gradient`` on a fresh ``Adjacency`` of A, as the
+    symmetric n x n field: (G, value)."""
+    g, value = gradient_of(gradients.Adjacency(A), targets)
     return symmetric_field(g, len(A)), value
 
 
@@ -209,16 +209,17 @@ class TestPreconditions:
 @st.composite
 def toggle_batches(draw):
     """A 0/1 adjacency and batches of distinct pairs to toggle in turn,
-    from single pairs to batches past the recount crossover."""
+    from single pairs to batches past BinarizedAttack's recount
+    crossover, each with whether the square is counted before it."""
     n = draw(st.integers(2, 90))
     A = generate_er(n, draw(st.sampled_from([0.1, 0.5])), draw(st.integers(0, 10_000))).dense()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    crossover = int(gradients.RECOUNT_AT * n * n) + 1  # the smallest batch that recounts
+    crossover = int(attacks.RECOUNT_AT * n * n) + 1  # the smallest batch it recounts
     size = st.one_of(st.just(1), st.integers(1, crossover), st.integers(crossover, 2 * crossover))
     batches = draw(st.lists(size.map(lambda k: min(k, len(pairs))).flatmap(
         lambda k: st.lists(st.sampled_from(pairs), min_size=k, max_size=k, unique=True)),
         max_size=6))
-    return A, batches
+    return A, [(batch, draw(st.booleans())) for batch in batches]
 
 
 class TestAdjacencyCounts:
@@ -227,8 +228,9 @@ class TestAdjacencyCounts:
     def test_toggles_keep_counts_exact(self, case):
         A, batches = case
         adj = gradients.Adjacency(A.copy())
-        for batch in batches:
-            adj.square  # counted, so the next small batch updates it in place
+        for batch, counted in batches:
+            if counted:
+                adj.square  # current, so the batch updates it in place
             p, q = np.array(batch, dtype=np.int32).reshape(-1, 2).T
             adj.toggle(p, q)
             for i, j in batch:
@@ -237,21 +239,60 @@ class TestAdjacencyCounts:
             assert np.array_equal(adj.N, A.sum(axis=1))
             assert np.array_equal(adj.square, A @ A)
 
-    def test_small_batch_updates_large_batch_recounts(self):
+    def test_current_square_updated_in_place_past_the_crossover(self):
         n = 100
-        adj = gradients.Adjacency(generate_ba(n, 3, 1).dense())
+        A = generate_ba(n, 3, 1).dense()
+        adj = gradients.Adjacency(A.copy())
         adj.square
         adj.A = adj.A.view(NoSquare)  # any further product of A fails
-        small = np.arange(int(gradients.RECOUNT_AT * n * n))  # the largest batch kept in place
-        adj.toggle(small, small + 1)
-        adj.square
-        large = np.arange(len(small) + 1)
+        large = np.arange(int(attacks.RECOUNT_AT * n * n) + 1)  # BinarizedAttack recounts these
         adj.toggle(large, large + 2)
         adj.toggle(np.array([0]), np.array([n - 1]))
-        with pytest.raises(AssertionError, match="A @ A"):
-            adj.square  # the large batch left the square to a recount
-        A = np.asarray(adj.A)
+        for p, q in [*zip(large.tolist(), (large + 2).tolist()), (0, n - 1)]:
+            A[p, q] = A[q, p] = 1.0 - A[p, q]
+        assert np.array_equal(adj.A, A)
         assert np.array_equal(adj.N, A.sum(axis=1))
+        assert np.array_equal(adj.square, A @ A)  # kept current, not recounted
+
+    def test_stale_square_toggle_writes_a_and_n_only(self):
+        n = 100
+        A = generate_ba(n, 3, 1).dense()
+        adj = gradients.Adjacency(A.copy())
+        adj.square
+        adj.reset(adj.A.view(NoSquare))  # stale now; any further product of A fails
+        before = adj._square.tobytes()
+        adj.toggle(np.array([0, 5]), np.array([1, 9]))
+        for p, q in [(0, 1), (5, 9)]:
+            A[p, q] = A[q, p] = 1.0 - A[p, q]
+        assert adj._square.tobytes() == before
+        assert np.array_equal(np.asarray(adj.A), A)
+        assert np.array_equal(adj.N, A.sum(axis=1))
+        with pytest.raises(AssertionError, match="A @ A"):
+            adj.square  # left to the recount
+
+    # one block, and blocks of 7 rows, whose diagonal blocks are mirrored too
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["binary", "relaxed"])
+    def test_set_pairs_exact_and_symmetric(self, rows, relaxed, monkeypatch):
+        n = 40
+        if rows is not None:
+            monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
+        adj = gradients.Adjacency(generate_ba(n, 3, 2).dense())
+        adj.square
+        upper = np.less.outer(np.arange(n), np.arange(n))
+        rng = np.random.default_rng(n)
+        values = rng.random(n * (n - 1) // 2)
+        if not relaxed:
+            values = (values < 0.2).astype(float)
+        adj.set_pairs(upper, values)
+        expected = symmetric_field(values, n)
+        assert np.array_equal(adj.A, expected) and np.array_equal(adj.A, adj.A.T)
+        assert np.array_equal(adj.N, expected.sum(axis=1))
+        if relaxed:
+            np.testing.assert_allclose(adj.square, expected @ expected, rtol=1e-12)
+        else:
+            assert np.array_equal(adj.square, expected @ expected)  # recounted
 
     def test_relaxed_counts_are_dense(self):
         A = jittered_er(15, 0.3, 2)
@@ -312,7 +353,7 @@ def allocating_gradient(A, targets, product=np.matmul):
     with fresh temporaries per term, as an n x n field G.
 
     The library fits through ``oddball.fit_ols`` and builds G's pair
-    entries by row blocks in a reused workspace; with the same symmetric
+    entries by row blocks in the reused ``adj.work``; with the same symmetric
     ``product`` both must round every element identically.
     """
     n, targets = len(A), np.asarray(sorted(targets))
@@ -366,7 +407,7 @@ def blocked_product(rows):
 
 
 class TestWorkspace:
-    """A reused workspace gives bit-for-bit the pair vector and value of a fresh call."""
+    """A reused ``adj.work`` gives bit-for-bit the pair vector and value of a fresh call."""
 
     @pytest.mark.parametrize("make, targets", [
         (lambda: jittered_er(30, 0.2, 12), [3, 11]),
@@ -375,29 +416,32 @@ class TestWorkspace:
     def test_equal_with_and_without_work(self, make, targets):
         A = make()
         n = len(A)
-        g0, v0 = gradient_of(A, targets, gradients.gradient_workspace(n))
+        g0, v0 = gradient_of(gradients.Adjacency(A), targets)
         Gr, vr = allocating_gradient(A, targets)
         assert np.array_equal(g0, Gr[np.triu_indices(n, 1)]) and v0 == vr
-        work = gradients.gradient_workspace(n)
-        g1, v1 = gradient_of(A, targets, work)
+        adj = gradients.Adjacency(A)
+        g1, v1 = gradient_of(adj, targets)
         assert np.array_equal(g0, g1) and v0 == v1
+        for buf in adj.work:
+            buf.fill(np.nan)  # a scratch user's leftovers
         out = np.full_like(g1, np.nan)
-        assert gradient_of(A, targets, work, out)[0] is out
+        assert gradient_of(adj, targets, out)[0] is out
         assert np.array_equal(out, g0)
 
     def test_consecutive_calls_on_different_graphs(self):
         A1, A2 = binary_ba(40, 3, 2), jittered_er(40, 0.2, 13)
         expected = [fresh_gradient(A, [1, 4]) for A in (A1, A2, A1)]
-        work, out = gradients.gradient_workspace(40), np.empty(40 * 39 // 2)
+        adj, out = gradients.Adjacency(A1), np.empty(40 * 39 // 2)
         for A, (G, v) in zip((A1, A2, A1), expected):
-            g1, v1 = gradient_of(A, [1, 4], work, out)
+            adj.reset(A)
+            g1, v1 = gradient_of(adj, [1, 4], out)
             assert np.array_equal(symmetric_field(g1, 40), G) and v1 == v
 
     def test_empty_targets(self):
         A = binary_ba(20, 2, 1)
-        work, out = gradients.gradient_workspace(20), np.empty(20 * 19 // 2)
-        gradient_of(A, [0], work, out)  # leave stale values behind
-        g, v = gradient_of(A, [], work, out)
+        adj, out = gradients.Adjacency(A), np.empty(20 * 19 // 2)
+        gradient_of(adj, [0], out)  # leave stale values behind
+        g, v = gradient_of(adj, [], out)
         G0, v0 = fresh_gradient(A, [])
         assert v == v0 == 0.0
         assert np.array_equal(symmetric_field(g, 20), G0) and not g.any()
@@ -415,22 +459,25 @@ class TestWorkspace:
             A = np.roll(np.eye(30), 1, axis=1)
             A += A.T
         rng = np.random.default_rng(0)
-        work = tuple(rng.random(buf.shape) for buf in gradients.gradient_workspace(30))
+        adj = gradients.Adjacency(A)
+        for buf in adj.work:
+            buf[:] = rng.random(buf.shape)
         out = rng.random(30 * 29 // 2)
-        before = [buf.tobytes() for buf in (*work, out)]
+        before = [buf.tobytes() for buf in (*adj.work, out)]
         with pytest.raises(error):
-            gradient_of(A, targets, work, out)
-        assert [buf.tobytes() for buf in (*work, out)] == before
+            gradient_of(adj, targets, out)
+        assert [buf.tobytes() for buf in (*adj.work, out)] == before
 
     def test_reuse_after_isolated_target(self):
         A = binary_ba(30, 2, 4)
         iso = A.copy()
         iso[7, :] = iso[:, 7] = 0.0
-        work, out = gradients.gradient_workspace(30), np.empty(30 * 29 // 2)
-        gradient_of(A, [7], work, out)
+        adj, out = gradients.Adjacency(A), np.empty(30 * 29 // 2)
+        gradient_of(adj, [7], out)
+        adj.reset(iso)
         with pytest.raises(IsolatedTarget):
-            gradient_of(iso, [7], work, out)
-        g, v = gradient_of(iso, [3], work, out)
+            gradient_of(adj, [7], out)
+        g, v = gradient_of(adj, [3], out)
         G0, v0 = fresh_gradient(iso, [3])
         assert np.array_equal(symmetric_field(g, 30), G0) and v == v0
 
@@ -445,7 +492,7 @@ class TestBlockedProducts:
         monkeypatch.setattr(gradients, "BLOCK_BYTES", 8 * n * rows)
         monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
         assert gradients._block_rows(n) == rows
-        assert [buf.size for buf in gradients.gradient_workspace(n)] == [rows * n] * 2
+        assert [buf.size for buf in gradients.Adjacency(np.zeros((n, n))).work] == [rows * n] * 2
         return n
 
     @pytest.mark.parametrize("model", ["ba", "er"])
@@ -464,7 +511,7 @@ class TestBlockedProducts:
         targets = [0, 5, n // 2]
         adj = gradients.Adjacency(A)
         g = np.empty(n * (n - 1) // 2)
-        v = gradients.surrogate_gradient(adj, targets, gradients.gradient_workspace(n), g)
+        v = gradients.surrogate_gradient(adj, targets, g)
         upper = np.triu_indices(n, 1)
         Gr, vr = allocating_gradient(A, targets)
         assert v == vr
