@@ -202,51 +202,30 @@ def _finalize_plan(graph: Graph, config: AttackConfig, attack: str,
 
 
 def _pair_space(graph: Graph, config: AttackConfig):
-    """Every unordered pair {i < j} of ``graph`` in lexicographic
-    (``np.triu_indices``) order: ``upper, a0, sign_p, frozen_p``.
-
-    ``upper`` is the n x n boolean mask of the strict upper triangle, so
-    ``M[upper]`` lists an n x n matrix's pair entries in that order, and
-    ``_pair_nodes`` gives a pair index's node ids. Per pair: the clean 0/1
+    """The pair vectors ``a0, sign_p, frozen_p`` of ``graph``, in the
+    order of ``gradients.pair_index``: per unordered pair, the clean 0/1
     adjacency value a0, the sign dA/d(flip) of the pair's only move (+1
     adds, -1 deletes) and whether the config forbids that move, as uint8,
-    int8 and bool. That is n^2 bytes, about 2 per pair, plus 3 per pair.
+    int8 and bool, 3 bytes a pair.
     """
     check_targets(config.targets, graph.n)
     check_dense_fits(graph.n)  # every attack goes dense: fail before the pair vectors
     n = graph.n
-    nodes = np.arange(n)
-    upper = np.less.outer(nodes, nodes)
     a0 = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
     u, v = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
-    a0[_pair_index(u, v, n)] = 1
+    a0[gradients.pair_index(u, v, n)] = 1
     frozen_p = np.zeros(len(a0), dtype=bool)
     if not config.allow_add:
         frozen_p |= a0 == 0
     if not config.allow_delete:
         frozen_p |= a0 == 1
-    return upper, a0, 1 - 2 * a0.astype(np.int8), frozen_p
-
-
-def _pair_index(p, q, n: int):
-    """The lexicographic index of each pair {p < q} of n nodes."""
-    return p * (2 * n - p - 1) // 2 + q - p - 1
-
-
-def _pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node ids p < q of the pairs with lexicographic indices k, as
-    int64, found from the row starts p(2n - p - 1)/2."""
-    k = np.asarray(k, dtype=np.int64)
-    rows = np.arange(n, dtype=np.int64)
-    starts = _pair_index(rows, rows + 1, n)
-    p = np.searchsorted(starts, k, side="right") - 1
-    return p, k - starts[p] + p + 1
+    return a0, 1 - 2 * a0.astype(np.int8), frozen_p
 
 
 def _pair_flips(pair_idx, a0: np.ndarray, n: int) -> list[EdgeFlip]:
     """The flips of the given pairs, in the given order, each away from
     the pair's clean state a0."""
-    p, q = _pair_nodes(pair_idx, n)
+    p, q = gradients.pair_nodes(pair_idx, n)
     return [EdgeFlip(i, j, FlipAction.DELETE if a0[k] else FlipAction.ADD)
             for i, j, k in zip(p.tolist(), q.tolist(), pair_idx)]
 
@@ -265,9 +244,10 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     n = graph.n
     # a flipped pair stops being movable; pairs flip at most once, so a0
     # stays the current state of every open pair
-    upper, a0, sign_p, frozen = _pair_space(graph, config)
+    a0, sign_p, frozen = _pair_space(graph, config)
     movable = ~frozen
-    is_edge = a0 == 1
+    edges = np.flatnonzero(a0)  # the clean edges, the only deletions
+    eu, ev = gradients.pair_nodes(edges, n)
     adj = gradients.Adjacency(graph.dense())
     chosen: list[int] = []
     notes: list[str] = []
@@ -283,14 +263,14 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         valid &= movable
         leaf = adj.N <= 1
         if leaf.any():  # never create singleton nodes
-            valid &= ~(is_edge & (leaf[:, None] | leaf[None, :])[upper])
+            valid[edges[leaf[eu] | leaf[ev]]] = False
         gain[~valid] = -np.inf
         best = int(np.argmax(gain))  # argmax returns first max: lexicographic
         if not np.isfinite(gain[best]):
             notes.append(f"NoValidMove after {len(chosen)} flips; plan truncated")
             break
         del valid  # freed before the next step's
-        adj.toggle(*_pair_nodes([best], n))
+        adj.toggle(*gradients.pair_nodes([best], n))
         movable[best] = False
         chosen.append(best)
 
@@ -303,11 +283,11 @@ def grad_max_search(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 # -- ContinuousA ---------------------------------------------------------
 
 
-def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
+def _descend(A: np.ndarray, a: np.ndarray, frozen: np.ndarray | None,
              config: AttackConfig):
     """ContinuousA's projected gradient steps from A, whose buffer the
-    descent takes over; ``frozen`` masks the pairs that stay put, or is
-    None.
+    descent takes over, and its pair vector a; ``frozen`` masks the pairs
+    that stay put, or is None.
 
     The iterate's pairs live in two pair vectors that take turns with the
     gradient, and each step rewrites both triangles of A from them, so A
@@ -316,7 +296,6 @@ def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
     stopped early.
     """
     objective, notes = [], []
-    a = A[upper]
     g = a.copy()  # the iterate before a: a rollback from the first step keeps a
     adj = gradients.Adjacency(A)
     for step in range(config.iters):
@@ -336,7 +315,7 @@ def _descend(A: np.ndarray, upper: np.ndarray, frozen: np.ndarray | None,
         np.subtract(a, g, out=g)
         np.clip(g, 0.0, 1.0, out=g)
         a, g = g, a
-        adj.set_pairs(upper, a)
+        adj.set_pairs(a)
     return a, objective, notes
 
 
@@ -348,9 +327,8 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     flips.
     """
     n = graph.n
-    upper, a0, sign_p, fp = _pair_space(graph, config)
-    del sign_p  # unused here: freed before the descent
-    diff, objective, notes = _descend(graph.dense(), upper, fp if fp.any() else None, config)
+    a0, fp = _pair_space(graph, config)[::2]  # the signs are not needed, nor held
+    diff, objective, notes = _descend(graph.dense(), a0.astype(float), fp if fp.any() else None, config)
 
     if len(objective) >= 10:
         tail = objective[-max(1, len(objective) // 10):]
@@ -441,19 +419,11 @@ def _top_pairs(flipped: np.ndarray, z: np.ndarray, B: int) -> np.ndarray:
     return np.concatenate((above, *ties))[:B]
 
 
-def _initial_z(rng: np.random.Generator, upper: np.ndarray) -> np.ndarray:
-    """BinarizedAttack's starting soft values: the upper-triangle pairs of
-    ``0.25 + rng.uniform(0.0, 0.05, size=(n, n))``."""
-    z = rng.uniform(0.0, 0.05, size=upper.shape)
-    z += 0.25
-    return z[upper]
-
-
 def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     """Straight-through optimization of paired soft/discrete flip variables.
 
     For each penalty weight lambda, a soft vector z in [0,1] with one entry
-    per unordered pair (lexicographic ``np.triu_indices`` order) is run
+    per unordered pair (in ``gradients.pair_index`` order) is run
     through projected gradient descent; every forward pass binarizes z
     into the discrete flip pattern and evaluates surrogate + lambda *
     ||z||_1 on the flipped 0/1 adjacency. The same adjacency gives the
@@ -473,7 +443,7 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
         raise ValueError("BinarizedAttack requires a nonempty lambda set")
     n = graph.n
     # sign_p is dA/dz through the straight-through estimator
-    upper, a0, sign_p, frozen_p = _pair_space(graph, config)
+    a0, sign_p, frozen_p = _pair_space(graph, config)
     any_frozen = frozen_p.any()
     B = config.budget_max
     # index b: best surrogate so far with exactly / at least b flipped
@@ -490,9 +460,9 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
             np.not_equal(pattern, shown, out=shown)  # the pairs adj must toggle
             if np.count_nonzero(shown) > RECOUNT_AT * n * n:
                 # recounting gives the counts toggling would: they are integers
-                adj.set_pairs(upper, a0 ^ pattern)
+                adj.set_pairs(a0 ^ pattern)
             else:
-                adj.toggle(*_pair_nodes(np.flatnonzero(shown), n))
+                adj.toggle(*gradients.pair_nodes(np.flatnonzero(shown), n))
             np.copyto(shown, pattern)
             gsp = np.empty(len(pattern))
             try:
@@ -510,7 +480,9 @@ def binarized_attack(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     for lam in config.lambdas:
         adj = grad = None  # free the last run's buffers before this run's
         rng = derive_rng(config.seed, "binarized", repr(float(lam)))
-        z = _initial_z(rng, upper)
+        z = np.empty(len(a0))
+        gradients.upper_pairs(rng.uniform(0.0, 0.05, size=(n, n)), z, 0)
+        z += 0.25
         z[frozen_p] = 0.0
         adj = gradients.Adjacency(graph.dense())
         grad = adj.work[0]  # the z-step's scratch between gradient calls

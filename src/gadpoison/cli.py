@@ -99,8 +99,9 @@ def cmd_score(args) -> int:
 def cmd_attack(args) -> int:
     from . import attacks
 
-    if args.reps < 1:
-        raise SystemExit(f"--reps must be >= 1, got {args.reps}")
+    for flag, value in (("--reps", args.reps), ("--targets-count", args.targets_count)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
     if not args.targets and args.targets_count > args.top_k:
         raise SystemExit(f"--targets-count {args.targets_count} exceeds --top-k {args.top_k}")
     graph = _load_graph(args)

@@ -36,6 +36,40 @@ def _block_rows(n: int) -> int:
     return min(n, max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * n)))
 
 
+# -- pair vectors: one value per unordered pair {p < q} of n nodes, in
+# lexicographic (np.triu_indices(n, 1)) order, n(n-1)/2 entries
+
+
+def pair_index(p, q, n: int):
+    """The index of each pair {p < q} of n nodes in a pair vector."""
+    return p * (2 * n - p - 1) // 2 + q - p - 1
+
+
+def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node ids p < q of the pairs with lexicographic indices k, as
+    int64, found from the row starts p(2n - p - 1)/2."""
+    k = np.asarray(k, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    starts = pair_index(rows, rows + 1, n)
+    p = np.searchsorted(starts, k, side="right") - 1
+    return p, k - starts[p] + p + 1
+
+
+def upper_pairs(rows: np.ndarray, out: np.ndarray, k: int) -> int:
+    """Copy the pairs of ``rows``, an n x n matrix's rows s:e from column s
+    on, into the pair vector ``out`` from index k, a strip of rows of at
+    most 64 KiB at a time; return the index after the last."""
+    width = rows.shape[1]
+    strip = max(1, 8192 // width)
+    tri = np.less.outer(np.arange(strip), np.arange(width))  # a strip's pairs, from its diagonal
+    for i in range(0, len(rows), strip):
+        part = rows[i:i + strip, i:]
+        part = part[tri[:len(part), :part.shape[1]]]
+        out[k:k + len(part)] = part
+        k += len(part)
+    return k
+
+
 class Adjacency:
     """A symmetric n x n adjacency A with the two counts the surrogate's
     forward pass reads, the degrees N = A.sum(1) and the square A @ A, and
@@ -79,17 +113,13 @@ class Adjacency:
             self._current = True
         return self._square
 
-    def set_pairs(self, upper: np.ndarray, values) -> None:
-        """Write a pair vector into both triangles of A, the upper one
-        through the mask ``upper`` and the lower one copied from it by row
-        blocks, and recount. The diagonal is left as it is."""
-        A = self.A
-        A[upper] = values
-        rows = _block_rows(len(A))
-        for s in range(0, len(A), rows):
-            e, tri = s + rows, upper[s:s + rows, s:s + rows]
-            A[e:, s:e] = A[s:e, e:].T
-            A[s:e, s:e].T[tri] = A[s:e, s:e][tri]
+    def set_pairs(self, values) -> None:
+        """Write a pair vector into both triangles of A, row by row, and
+        recount. The diagonal is left as it is."""
+        A, n, k = self.A, len(self.A), 0
+        for i in range(n - 1):
+            A[i, i + 1:] = A[i + 1:, i] = values[k:k + n - 1 - i]
+            k += n - 1 - i
         self.reset(A)
 
     def toggle(self, p: np.ndarray, q: np.ndarray) -> None:
@@ -128,10 +158,8 @@ def surrogate_gradient(adj: Adjacency, targets, out: np.ndarray) -> float:
     by ``oddball.fit_ols`` to those features. The value equals it bit for
     bit.
 
-    ``out`` is a float64 pair vector of n(n-1)/2 entries in
-    ``np.triu_indices`` order, the order in which ``M[upper]`` lists an
-    n x n matrix's strict upper triangle; entry (i, j) is dL/d(pair ij),
-    the derivative when both A_ij and A_ji move together.
+    ``out`` is a float64 pair vector; entry (i, j) is dL/d(pair ij), the
+    derivative when both A_ij and A_ji move together.
 
     The call computes in ``adj.work``. One that raises has written to
     neither ``out`` nor ``adj.work``: every check comes before the first
@@ -206,8 +234,6 @@ def surrogate_gradient(adj: Adjacency, targets, out: np.ndarray) -> float:
     S = adj.square
     L, P = adj.work
     rows = _block_rows(n)
-    strip = max(1, 8192 // n)  # rows gathered at once: their copy is at most 64 KiB
-    tri = np.less.outer(np.arange(strip), np.arange(n))  # a strip's pairs, from its diagonal
     k = 0  # pairs written to out
     for s in range(0, n, rows):
         e = min(s + rows, n)
@@ -221,9 +247,5 @@ def surrogate_gradient(adj: Adjacency, targets, out: np.ndarray) -> float:
         tmp *= 2.0
         tmp *= S[s:e, s:]
         g += tmp
-        for i in range(0, e - s, strip):  # rows s+i on, from their diagonal
-            part = g[i:i + strip, i:]
-            part = part[tri[:len(part), :part.shape[1]]]
-            out[k:k + len(part)] = part
-            k += len(part)
+        k = upper_pairs(g, out, k)
     return value

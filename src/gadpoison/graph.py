@@ -66,6 +66,8 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "_diag3")
 
     def __init__(self, n: int, edges):
+        if n < 0:
+            raise ValueError(f"node count n must be >= 0, got {n}")
         e = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be an (m, 2) array of node-id pairs, got shape {e.shape}")

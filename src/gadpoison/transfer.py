@@ -36,6 +36,8 @@ class RefexConfig:
     def __post_init__(self):
         if self.recursion_depth < 0 or self.bins < 1:
             raise ValueError(f"need recursion_depth >= 0 and bins >= 1, got {self.recursion_depth}, {self.bins}")
+        if not 0 <= self.prune_corr <= 1:  # nan fails every comparison
+            raise ValueError(f"prune_corr must be finite and in [0, 1], got {self.prune_corr}")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from gadpoison.attacks import (
     PerturbationPlan,
     _finalize_plan,
     _GradientMemo,
-    _pair_index,
-    _pair_nodes,
     _pair_space,
     _top_pairs,
     binarized_attack,
@@ -28,6 +26,7 @@ from gadpoison.attacks import (
     tau_as,
 )
 from gadpoison.errors import DegenerateFit, IsolatedTarget, NodeVanished, ZeroBaseline
+from gadpoison.gradients import pair_index, pair_nodes, upper_pairs
 from gadpoison.graph import EdgeFlip, FlipAction, Graph, apply_flips, derive_rng, generate_ba, generate_er
 from gadpoison.oddball import ego_features, rank_top_k, score_graph, surrogate_objective
 from test_gradients import fresh_gradient
@@ -468,9 +467,9 @@ class TestBinarizedAgainstDenseOracle:
             toggled.append(len(p))
             toggle(adj, p, q)
 
-        def counted_set_pairs(adj, upper, values):
-            rewritten.append(int(np.count_nonzero(adj.A[upper] != values)))
-            set_pairs(adj, upper, values)
+        def counted_set_pairs(adj, values):
+            rewritten.append(int(np.count_nonzero(adj.A[np.triu_indices(g.n, 1)] != values)))
+            set_pairs(adj, values)
 
         monkeypatch.setattr(gradients.Adjacency, "toggle", counted_toggle)
         monkeypatch.setattr(gradients.Adjacency, "set_pairs", counted_set_pairs)
@@ -631,49 +630,66 @@ class TestTopPairs:
 
 
 class TestPairAddressing:
-    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    # upper_pairs' strips hold 8192 // n rows: at n = 97 one full strip and a
+    # partial one, at n = 300 eleven full ones and a partial one
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 97, 300])
     def test_mask_lists_pairs_in_triu_order(self, n):
+        """upper_pairs gathers and set_pairs writes pair vectors in
+        np.triu_indices order, whole or by blocks of rows, binary or relaxed."""
         g = generate_er(n, 0.3, n)
-        upper, a0, _, _ = _pair_space(g, AttackConfig(budget_max=1, targets=(0,)))
-        M = np.random.default_rng(n).random((n, n))
-        assert np.array_equal(M[upper], M[np.triu_indices(n, 1)])
-        assert np.array_equal(a0, g.dense()[np.triu_indices(n, 1)])
+        iu = np.triu_indices(n, 1)
+        a0, _, _ = _pair_space(g, AttackConfig(budget_max=1, targets=(0,)))
+        assert np.array_equal(a0, g.dense()[iu])
+        rng = np.random.default_rng(n)
+        for M in (rng.random((n, n)), (rng.random((n, n)) < 0.3).astype(float)):
+            pairs = np.empty(len(iu[0]))
+            assert upper_pairs(M, pairs, 0) == len(pairs)
+            assert np.array_equal(pairs, M[iu])
+            k, pairs[:] = 0, np.nan
+            for s in range(0, n, 40):  # the gradient's gather, by row blocks s:s+40
+                k = upper_pairs(M[s:s + 40, s:], pairs, k)
+            assert k == len(pairs) and np.array_equal(pairs, M[iu])
+            adj = gradients.Adjacency(g.dense())
+            adj.set_pairs(M[iu])
+            assert np.array_equal(adj.A[iu], M[iu]) and np.array_equal(adj.A, adj.A.T)
+            assert np.array_equal(np.diag(adj.A), np.zeros(n))
+            assert np.array_equal(adj.N, adj.A.sum(axis=1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 60))
     def test_index_to_nodes_round_trips(self, n):
         k = np.arange(n * (n - 1) // 2)
-        p, q = _pair_nodes(k, n)
+        p, q = pair_nodes(k, n)
         iu, ju = np.triu_indices(n, 1)
         assert np.array_equal(p, iu) and np.array_equal(q, ju)
-        assert np.array_equal(_pair_index(p, q, n), k)
+        assert np.array_equal(pair_index(p, q, n), k)
 
     def test_index_near_2_31_round_trips(self):
         # p (2n - p - 1) reaches 2^32 here, past int32
         n = 65_536
         k = np.array([0, 2**31 - 2**20 - 1, n * (n - 1) // 2 - 1])
-        p, q = _pair_nodes(k, n)
+        p, q = pair_nodes(k, n)
         assert [p[-1], q[-1]] == [n - 2, n - 1]
         assert np.all(p < q) and np.all(q < n)
         assert [a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in zip(p.tolist(), q.tolist())] == k.tolist()
-        assert np.array_equal(_pair_index(p, q, n), k)
+        assert np.array_equal(pair_index(p, q, n), k)
 
 
 class TestPeakMemory:
     """Under tracemalloc, each attack on BA(600, 5) peaks below its design
     plus 10 %: two n x n float64 matrices (the adjacency and its square),
-    the workspace's two row blocks, the n x n pair mask, and the bytes per
-    pair each attack lists below."""
+    the workspace's two row blocks, and the bytes per pair each attack
+    lists below."""
 
     n = 600
     # per pair: a0, sign_p and frozen_p (3 bytes) plus, for
-    #   gradmax: movable, is_edge, the gain vector, valid and ~valid;
+    #   gradmax: movable, the gain vector, valid and ~valid;
     #   continuous: the iterate's two pair vectors;
     #   binarized: z, gsp, three flip patterns, their comparison, at most
     #   every pair flipped as indices, and the memo key, packed to a bit a
     #   pair (1 byte here); plus the memo itself, MEMO_BYTES
     CASES = {
-        "gradmax": ("gradmax", dict(budget_max=5), 3 + 1 + 1 + 8 + 1 + 1),
+        "gradmax": ("gradmax", dict(budget_max=5), 3 + 1 + 8 + 1 + 1),
         "continuous": ("continuous", dict(budget_max=5, iters=3, lr=1e-4), 3 + 8 + 8),
         "binarized": ("binarized", dict(budget_max=5, iters=5), 3 + 8 + 8 + 3 + 1 + 8 + 1),
         # steps of 100 drive the soft values to 0 or 1
@@ -689,7 +705,7 @@ class TestPeakMemory:
         cfg = AttackConfig(targets=tuple(rank_top_k(score_graph(g), 5)), lambdas=(1e-3,), **kwargs)
         blocks = 2 * 8 * gradients._block_rows(n) * n
         assert blocks // 2 < 8 * n * n  # tighter than an n x n G and one block
-        design = 2 * 8 * n * n + blocks + n * n + per_pair * n * (n - 1) // 2
+        design = 2 * 8 * n * n + blocks + per_pair * n * (n - 1) // 2
         if attack == "binarized":
             design += attacks.MEMO_BYTES
         tracemalloc.start()

@@ -44,6 +44,14 @@ class TestGenerate:
         main(["generate", "--gen", "ba", "--n", "40", "--m", "2", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("sub", ["generate", "score"])
+    def test_negative_node_count_fails_before_output(self, tmp_path, capsys, sub):
+        out = tmp_path / "out.txt"
+        rc = main([sub, "--gen", "er", "--n", "-5", "--out", str(out)])
+        assert rc == 1
+        assert "error: node count n must be >= 0, got -5\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScore:
     def test_star_scores_all_zero(self, tmp_path):
@@ -161,6 +169,7 @@ class TestAttack:
         (("--lam", "0.1", "--lam", "-1"), "every lambda must be finite and >= 0, got [0.1, -1.0]"),
         (("--targets", "1,2,"), "--targets '1,2,' is not a comma-separated list of integers"),
         (("--targets", "1,x"), "--targets '1,x' is not a comma-separated list of integers"),
+        (("--targets-count", "-2"), "--targets-count must be >= 1, got -2"),
     ])
     def test_unusable_flags_fail_before_output(self, tmp_path, capsys, flags, message):
         rc = main(["attack", "--gen", "ba", "--n", "30", "--m", "2", "--attack", "continuous",
@@ -430,6 +439,9 @@ class TestTransfer:
     @pytest.mark.parametrize("flags, message", [
         (("--bins", "0"), "need recursion_depth >= 0 and bins >= 1, got 2, 0"),
         (("--depth", "-1"), "need recursion_depth >= 0 and bins >= 1, got -1, 4"),
+        (("--prune-corr", "nan"), "prune_corr must be finite and in [0, 1], got nan"),
+        (("--prune-corr", "-1"), "prune_corr must be finite and in [0, 1], got -1.0"),
+        (("--prune-corr", "2"), "prune_corr must be finite and in [0, 1], got 2.0"),
     ])
     def test_unusable_embedding_fails_before_output(self, tmp_path, capsys, flags, message):
         out = tmp_path / "transfer.json"

@@ -270,7 +270,7 @@ class TestAdjacencyCounts:
         with pytest.raises(AssertionError, match="A @ A"):
             adj.square  # left to the recount
 
-    # one block, and blocks of 7 rows, whose diagonal blocks are mirrored too
+    # the square recounted in one block, and in blocks of 7 rows
     @pytest.mark.parametrize("rows", [None, 7])
     @pytest.mark.parametrize("relaxed", [False, True], ids=["binary", "relaxed"])
     def test_set_pairs_exact_and_symmetric(self, rows, relaxed, monkeypatch):
@@ -280,12 +280,11 @@ class TestAdjacencyCounts:
             monkeypatch.setattr(gradients, "MIN_BLOCK_ROWS", 1)
         adj = gradients.Adjacency(generate_ba(n, 3, 2).dense())
         adj.square
-        upper = np.less.outer(np.arange(n), np.arange(n))
         rng = np.random.default_rng(n)
         values = rng.random(n * (n - 1) // 2)
         if not relaxed:
             values = (values < 0.2).astype(float)
-        adj.set_pairs(upper, values)
+        adj.set_pairs(values)
         expected = symmetric_field(values, n)
         assert np.array_equal(adj.A, expected) and np.array_equal(adj.A, adj.A.T)
         assert np.array_equal(adj.N, expected.sum(axis=1))

@@ -227,8 +227,9 @@ class TestGraphValidation:
         (3, [(0, 1, 2)], "edges must be an (m, 2) array of node-id pairs, got shape (1, 3)"),
         (3, [0, 1], "edges must be an (m, 2) array of node-id pairs, got shape (2,)"),
         (3, [(0.0, 1.0)], "node ids must be integers, got dtype float64"),
+        (-5, [], "node count n must be >= 0, got -5"),
     ], ids=["out-of-range", "negative", "self-loop", "listed-twice", "listed-reversed",
-            "three-columns", "flat", "float-ids"])
+            "three-columns", "flat", "float-ids", "negative-n"])
     def test_rejects(self, n, edges, message):
         with pytest.raises(ValueError) as info:
             Graph(n, edges)
@@ -240,6 +241,7 @@ class TestGraphValidation:
             assert Graph(3, container).edges() == [(0, 1), (1, 2)]
         for empty in ([], np.zeros((0, 2), dtype=np.int64)):
             assert Graph(3, empty).num_edges() == 0
+        assert Graph(0, []).n == 0
 
 
 def dense_oracle(n, edges):

@@ -99,9 +99,15 @@ def cycle(n):
 
 
 class TestRefexEmbed:
-    @pytest.mark.parametrize("kwargs", [dict(bins=0), dict(bins=-2), dict(recursion_depth=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(bins=0), dict(bins=-2), dict(recursion_depth=-1),
+                                        dict(prune_corr=float("nan")), dict(prune_corr=float("inf")),
+                                        dict(prune_corr=-1.0), dict(prune_corr=2.0)])
     def test_unusable_config_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="need recursion_depth >= 0 and bins >= 1"):
+        if "prune_corr" in kwargs:
+            message = f"prune_corr must be finite and in [0, 1], got {kwargs['prune_corr']}"
+        else:
+            message = "need recursion_depth >= 0 and bins >= 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
             RefexConfig(**kwargs)
 
     def test_one_bin_embeds(self):
