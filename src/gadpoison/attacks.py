@@ -72,11 +72,15 @@ def _check_distinct(targets) -> None:
         raise ValueError(f"target ids {repeated} repeat")
 
 
+def _not_ints(values) -> list:
+    # bool is an int subclass, but true/false in a plan are not node ids
+    return [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+
+
 def check_targets(targets, n: int, name: str = "targets") -> None:
     """Reject target ids that are not integers, that repeat or that are
     not nodes of an n-node graph; ``name`` labels the ids out of range."""
-    # bool is an int subclass, but true/false in a plan are not node ids
-    not_int = [t for t in targets if isinstance(t, bool) or not isinstance(t, (int, np.integer))]
+    not_int = _not_ints(targets)
     if not_int:
         raise ValueError(f"target ids {not_int} are not integers")
     _check_distinct(targets)
@@ -124,13 +128,29 @@ class PerturbationPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "PerturbationPlan":
         """Inverse of ``to_dict``. Only ``schema_version``, ``targets`` and
-        ``flips_by_budget`` are required; absent traces default to empty."""
+        ``flips_by_budget`` are required; absent traces default to empty.
+        Rejects empty targets, budget keys that are not integers >= 1 or
+        that name one budget twice, and flip ids that are not integers."""
         if data.get("schema_version") != 1:
             raise ValueError(f"unsupported plan schema_version {data.get('schema_version')!r}")
-        flips_by_budget = {
-            int(b): [EdgeFlip(f["i"], f["j"], FlipAction(f["action"])) for f in flips]
-            for b, flips in data["flips_by_budget"].items()
-        }
+        if not data["targets"]:
+            raise ValueError("target set must be nonempty")
+        if not isinstance(data["flips_by_budget"], dict):
+            raise ValueError("flips_by_budget must be an object mapping budgets to flip lists")
+        flips_by_budget = {}
+        for key, flips in data["flips_by_budget"].items():
+            try:
+                b = int(key)
+            except ValueError:
+                b = 0
+            if b < 1:
+                raise ValueError(f"flips_by_budget key {key!r} is not an integer >= 1")
+            if b in flips_by_budget:
+                raise ValueError(f"flips_by_budget keys name budget {b} twice")
+            not_int = _not_ints([f[c] for f in flips for c in ("i", "j")])
+            if not_int:
+                raise ValueError(f"flips_by_budget[{key!r}] flip ids {not_int} are not integers")
+            flips_by_budget[b] = [EdgeFlip(f["i"], f["j"], FlipAction(f["action"])) for f in flips]
         return cls(
             attack=data.get("attack", ""),
             budget_max=data.get("budget_max", max(flips_by_budget, default=0)),
@@ -322,9 +342,9 @@ def _descend(A: np.ndarray, a: np.ndarray, frozen: np.ndarray | None,
 def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
     """Projected gradient descent on the fully relaxed adjacency.
 
-    After config.iters steps, pairs are ranked by |relaxed - original|
-    descending (ties lexicographic) and the top b become the budget-b
-    flips.
+    After config.iters steps, the movable pairs are ranked by
+    |relaxed - original| descending (ties lexicographic) and the top b
+    become the budget-b flips; budgets past the movable pairs fail.
     """
     n = graph.n
     a0, fp = _pair_space(graph, config)[::2]  # the signs are not needed, nor held
@@ -340,11 +360,12 @@ def continuous_a(graph: Graph, config: AttackConfig) -> PerturbationPlan:
 
     diff -= a0
     np.abs(diff, out=diff)
-    diff[fp] = -1.0
+    diff[fp] = -1.0  # frozen pairs sort last, past the cut
     order = np.argsort(-diff, kind="stable")  # descending diff, ties lexicographic
-    flips = _pair_flips(order[:config.budget_max], a0, n)
-    flips_by_budget = {b: flips[:b] for b in range(1, config.budget_max + 1)}
-    return _finalize_plan(graph, config, "continuous", flips_by_budget, notes=notes)
+    flips = _pair_flips(order[:min(config.budget_max, len(fp) - int(fp.sum()))], a0, n)
+    flips_by_budget = {b: flips[:b] for b in range(1, len(flips) + 1)}
+    failed = {b: "no movable pair left" for b in range(len(flips) + 1, config.budget_max + 1)}
+    return _finalize_plan(graph, config, "continuous", flips_by_budget, failed, notes)
 
 
 # -- BinarizedAttack -----------------------------------------------------

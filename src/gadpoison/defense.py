@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import DegenerateFit, NoConsensus
@@ -65,20 +63,6 @@ def _inlier_tol(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return max(1.5 * _median(np.abs(y - start.beta0 - start.beta1 * x)), 1e-9)
 
 
-@lru_cache(maxsize=8)
-def _ransac_draws(seed: int, m: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``iters`` two-point samples of ``fit_ransac``'s stream for
-    ``seed`` over ``m`` points, as read-only index arrays (i, j).
-
-    They depend on nothing else, so the fits of one ``defend`` (every
-    budget of a plan at one seed and node count) share one set of draws.
-    """
-    rng = derive_rng(seed, "ransac")
-    ij = np.array([rng.choice(m, size=2, replace=False) for _ in range(iters)])
-    ij.flags.writeable = False
-    return ij[:, 0], ij[:, 1]
-
-
 def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
     """Random-sample-consensus line fit on the log-log features.
 
@@ -86,17 +70,19 @@ def fit_ransac(features: EgoFeatures, seed: int = 0) -> RegressionFit:
     line; the candidate with the largest inlier consensus wins (ties by
     smaller summed Huber loss, k = 1, over its inliers, then by the
     earlier draw) and is refit by least squares on the consensus set.
-    All RANSAC_ITERS samples are drawn first (once per seed and number
-    of points, see ``_ransac_draws``), and their consensus sizes are
-    counted in batches of at most RANSAC_BATCH residuals.
+    All RANSAC_ITERS samples are drawn first, as uniform ordered pairs of
+    distinct points, and their consensus sizes are counted in batches of
+    at most RANSAC_BATCH residuals.
     """
     mask, x, y = _masked_logs(features)
     if not len(x) or (x == x[0]).all():
         raise DegenerateFit("need at least 2 distinct ln N values")
     tol = _inlier_tol(mask, x, y)
     m = len(x)
-    # the skip rules below draw nothing, so drawing every sample first keeps the stream
-    i, j = _ransac_draws(seed, m, RANSAC_ITERS)
+    rng = derive_rng(seed, "ransac")
+    i = rng.integers(m, size=RANSAC_ITERS)
+    j = rng.integers(m - 1, size=RANSAC_ITERS)
+    j += j >= i
     keep = x[i] != x[j]
     i, j = i[keep], j[keep]
     b1 = (y[j] - y[i]) / (x[j] - x[i])

@@ -191,6 +191,15 @@ class TestContinuousA:
         assert len(seen) == 4 and len(np.unique(A)) > 2  # relaxed
         assert np.array_equal(A, A.T)
 
+    def test_budgets_past_the_movable_pairs_fail(self):
+        # with adds forbidden, BA(8, 2)'s 15 non-edges are frozen: 13 of its 28 pairs can move
+        g = generate_ba(8, 2, 1)
+        plan = continuous_a(g, AttackConfig(budget_max=20, targets=(0,), allow_add=False,
+                                            lr=0.01, iters=5))
+        assert g.num_edges() == 13
+        assert all(f.action is FlipAction.DELETE for flips in plan.flips_by_budget.values() for f in flips)
+        assert all(plan.failed_budgets[b] == "no movable pair left" for b in range(14, 21))
+
     def test_zero_iterations_degenerate_lexicographic(self):
         g = generate_er(8, 0.4, 2)
         plan = continuous_a(g, AttackConfig(budget_max=2, targets=top_target(g), iters=0))
@@ -832,6 +841,30 @@ class TestPlanSerialization:
     def test_from_dict_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema_version"):
             PerturbationPlan.from_dict({"targets": [0], "flips_by_budget": {}})
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(flips_by_budget={"0": []}), "flips_by_budget key '0' is not an integer >= 1"),
+        (dict(flips_by_budget={"-2": []}), "flips_by_budget key '-2' is not an integer >= 1"),
+        (dict(flips_by_budget={"1.5": []}), "flips_by_budget key '1.5' is not an integer >= 1"),
+        (dict(flips_by_budget={"two": []}), "flips_by_budget key 'two' is not an integer >= 1"),
+        (dict(flips_by_budget={"1": [], "01": []}), "flips_by_budget keys name budget 1 twice"),
+        (dict(targets=[]), "target set must be nonempty"),
+        (dict(flips_by_budget={"1": [{"i": 0, "j": 5.5, "action": "add"}]}),
+         r"flips_by_budget\['1'\] flip ids \[5.5\] are not integers"),
+        (dict(flips_by_budget={"1": [{"i": False, "j": 2, "action": "add"}]}),
+         r"flips_by_budget\['1'\] flip ids \[False\] are not integers"),
+        (dict(flips_by_budget=[1, 2]), "flips_by_budget must be an object mapping budgets to flip lists"),
+    ])
+    def test_from_dict_rejects_malformed_fields(self, fields, message):
+        data = {"schema_version": 1, "targets": [0], "flips_by_budget": {}, **fields}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PerturbationPlan.from_dict(data)
+
+    def test_from_dict_takes_any_integer_key_once(self):
+        flips = [{"i": 0, "j": 1, "action": "add"}]
+        plan = PerturbationPlan.from_dict({"schema_version": 1, "targets": [0],
+                                           "flips_by_budget": {"02": flips, "1": []}})
+        assert plan.flips_by_budget == {2: [EdgeFlip(0, 1, FlipAction.ADD)], 1: []}
 
     def test_csv_schema(self, tmp_path):
         g = generate_er(10, 0.3, 2)

@@ -217,7 +217,23 @@ class TestDefend:
         ([True, 3, False], "target ids [True, False] are not integers"),
     ])
     def test_bad_plan_targets_fail_before_output(self, tmp_path, capsys, targets, message):
-        plan = {"schema_version": 1, "targets": targets, "flips_by_budget": {}}
+        self.assert_plan_fails_before_output(tmp_path, capsys, {"targets": targets}, message)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(flips_by_budget={"0": []}), "flips_by_budget key '0' is not an integer >= 1"),
+        (dict(flips_by_budget={"-2": []}), "flips_by_budget key '-2' is not an integer >= 1"),
+        (dict(flips_by_budget={"1": [], "01": []}), "flips_by_budget keys name budget 1 twice"),
+        (dict(targets=[]), "target set must be nonempty"),
+        (dict(flips_by_budget={"1": [{"i": 0, "j": 5.5, "action": "add"}]}),
+         "flips_by_budget['1'] flip ids [5.5] are not integers"),
+        (dict(flips_by_budget=[1, 2]), "flips_by_budget must be an object mapping budgets to flip lists"),
+    ])
+    def test_malformed_plan_fails_before_output(self, tmp_path, capsys, fields, message):
+        self.assert_plan_fails_before_output(tmp_path, capsys, fields, message)
+
+    @staticmethod
+    def assert_plan_fails_before_output(tmp_path, capsys, fields, message):
+        plan = {"schema_version": 1, "targets": [4], "flips_by_budget": {}, **fields}
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan))
         out = tmp_path / "defense.csv"
@@ -359,7 +375,7 @@ class TestGolden:
         "atk/plan_rep0.json": "b367697197b2181a8da16a44b2c79535350f8fcca64bab5ca2686c0b356b18d8",
         "atk/trace_rep0.csv": "fb88877b7aa4213ce23f4e17d24d904aca4852d3f78749431fce8e75c5d8ad19",
         "atk/summary.csv": "87591024433a49e17869d09a72275e7bae17f7516935802f56395082bb6ba4eb",
-        "defense.csv": "79fd5542f510faee65e3dc8c245ca1b5210f5de9a2f0ec74fcbb18ed51d7a22d",
+        "defense.csv": "8d0619ca548691f40e5e74fbf3136d6e6fb8455cfd109ed52ea0ae2dc61ba4c0",
     }
 
     def test_gradmax_and_defend_digests(self, tmp_path):

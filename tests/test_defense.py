@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from contextlib import nullcontext
 from unittest.mock import patch
@@ -30,19 +29,25 @@ def contaminated_features(seed=0, n=20, outliers=1, shift=5.0):
     return EgoFeatures(N=N, E=np.maximum(E, N))
 
 
+def ransac_pairs(seed, m):
+    """The RANSAC_ITERS ordered pairs of distinct points that ``fit_ransac``
+    draws for ``seed`` over ``m`` points, as its own stream gives them."""
+    rng = derive_rng(seed, "ransac")
+    i = rng.integers(m, size=defense.RANSAC_ITERS)
+    j = rng.integers(m - 1, size=defense.RANSAC_ITERS)
+    return i, j + (j >= i)
+
+
 def reference_fit_ransac(features, seed=0):
     """The per-candidate RANSAC loop that ``fit_ransac`` replaced: each
-    draw's line is scored as it is drawn, and the strict maximum of
+    drawn pair's line is scored in turn, and the strict maximum of
     (consensus size, -Huber sum) is kept."""
     mask, x, y = _masked_logs(features)
     if len(np.unique(x)) < 2:
         raise DegenerateFit("need at least 2 distinct ln N values")
     tol = defense._inlier_tol(mask, x, y)
-    rng = derive_rng(seed, "ransac")
-    m = len(x)
     best = None
-    for _ in range(defense.RANSAC_ITERS):
-        i, j = rng.choice(m, size=2, replace=False)
+    for i, j in zip(*ransac_pairs(seed, len(x))):
         if x[i] == x[j]:
             continue
         b1 = (y[j] - y[i]) / (x[j] - x[i])
@@ -218,71 +223,41 @@ class TestFitRansacAgainstLoop:
         assert peak <= 16 * 2**20
 
 
-class CountingRng:
-    """A Generator stand-in that counts its ``choice`` calls."""
-
-    def __init__(self, rng, calls):
-        self.rng, self.calls = rng, calls
-
-    def choice(self, *args, **kwargs):
-        self.calls.append(args)
-        return self.rng.choice(*args, **kwargs)
-
-
 class TestRansacDraws:
-    """The RANSAC samples are drawn once per (seed, point count, RANSAC_ITERS)."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(defense, "derive_rng", lambda *args: CountingRng(derive_rng(*args), calls))
-        defense._ransac_draws.cache_clear()
-        yield calls
-        defense._ransac_draws.cache_clear()
-
-    def test_defend_draws_once(self, tmp_path, calls):
-        from gadpoison.cli import main
-
-        g = generate_er(80, 0.1, 2)
-        missing = [(0, j) for j in range(1, 80) if j not in g.neighbors(0)][:20]
-        flips = [{"i": i, "j": j, "action": "add"} for i, j in missing]
-        plan = {"schema_version": 1, "targets": [0, 1],
-                "flips_by_budget": {str(b): flips[:b] for b in range(1, 21)}}
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(json.dumps(plan))
-        assert main(["defend", "--gen", "er", "--n", "80", "--p", "0.1", "--seed", "2",
-                     "--plan", str(plan_file), "--out", str(tmp_path / "defense.csv")]) == 0
-        # 21 RANSAC fits (the clean graph and 20 budgets) on one seed and node count
-        assert len((tmp_path / "defense.csv").read_text().splitlines()) == 22
-        assert len(calls) == defense.RANSAC_ITERS
-
-    def test_new_key_draws_afresh(self, calls, monkeypatch):
-        f = contaminated_features(seed=6, n=40, outliers=8)
-        iters = defense.RANSAC_ITERS
-        fit_ransac(f, seed=3)
-        fit_ransac(f, seed=3)
-        assert len(calls) == iters
-        fit_ransac(contaminated_features(seed=6, n=41, outliers=8), seed=3)  # another m
-        assert len(calls) == 2 * iters
-        assert {args[0] for args in calls} == {40, 41}
-        fit_ransac(f, seed=4)  # another seed
-        assert len(calls) == 3 * iters
-        monkeypatch.setattr(defense, "RANSAC_ITERS", 3)
-        fit_ransac(f, seed=3)
-        assert len(calls) == 3 * iters + 3
-
-    def test_draws_are_read_only(self):
-        i, j = defense._ransac_draws(0, 10, 5)
-        assert i.shape == j.shape == (5,)
-        assert not i.flags.writeable and not j.flags.writeable
-        with pytest.raises(ValueError):
-            i[0] = 0
+    """The two-point samples: none before a fit has 2 distinct ln N values,
+    then RANSAC_ITERS ordered pairs of distinct points per seed."""
 
     @pytest.mark.parametrize("N", [[], [0.0, 0.0], [3.0], [3.0, 3.0, 0.0, 3.0]])
     def test_fewer_than_two_ln_n_values(self, N):
         f = EgoFeatures(N=np.array(N), E=np.array(N) + 1.0)
         with pytest.raises(DegenerateFit, match="need at least 2 distinct ln N values"):
             fit_ransac(f, seed=0)
+
+    def test_draws_distinct_pairs_repeatably(self, monkeypatch):
+        drawn = []  # each fit's two index arrays; the fit shifts j in place
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                drawn.append(self.rng.integers(*args, **kwargs))
+                return drawn[-1]
+
+        monkeypatch.setattr(defense, "derive_rng", lambda *args: Recording(derive_rng(*args)))
+        f = features_on_line(0.0, 1.0, [2, 3, 5])
+        counts = np.zeros((3, 3), dtype=int)
+        for seed in range(20):
+            fit_ransac(f, seed=seed)
+            i, j = drawn[-2:]
+            assert i.shape == j.shape == (defense.RANSAC_ITERS,)
+            assert (i != j).all() and min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) <= 2
+            assert all(np.array_equal(u, v) for u, v in zip((i, j), ransac_pairs(seed, 3)))
+            np.add.at(counts, (i, j), 1)
+        fit_ransac(f, seed=0)
+        assert np.array_equal(drawn[-2], drawn[0]) and np.array_equal(drawn[-1], drawn[1])
+        # 4,000 draws spread evenly over the 6 ordered pairs, 667 expected each
+        assert np.abs(counts[~np.eye(3, dtype=bool)] - 4000 / 6).max() < 100
 
 
 class TestMedian:
